@@ -1,0 +1,34 @@
+//! Sample summaries.
+
+/// Nearest-rank quantile of `samples` (`q` in `[0, 1]`); `NaN` when
+/// empty. Sorts a copy, so callers can keep samples in arrival order.
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The median, as the 0.5 nearest-rank quantile.
+pub fn median(samples: &[f64]) -> f64 {
+    quantile(samples, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nearest_rank_quantiles() {
+        let s: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(median(&s), 50.0);
+        assert_eq!(quantile(&s, 0.99), 99.0);
+        assert_eq!(quantile(&s, 1.0), 100.0);
+        assert_eq!(quantile(&s, 0.0), 1.0);
+        assert_eq!(median(&[3.0]), 3.0);
+        assert!(median(&[]).is_nan());
+    }
+}
