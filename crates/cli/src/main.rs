@@ -289,8 +289,8 @@ fn print_fault_summary(f: &FaultReport) {
 
 fn print_net_summary(net: &NetReport) {
     println!(
-        "    net: {} workers, {} frames routed ({} bytes), {} barriers, {} heartbeats",
-        net.workers, net.frames_routed, net.frame_bytes, net.barriers, net.heartbeats,
+        "    net: {} workers, {} frames routed ({} bytes), {} barriers, {} heartbeats, {} writes",
+        net.workers, net.frames_routed, net.frame_bytes, net.barriers, net.heartbeats, net.writes,
     );
     match (&net.fallback, net.recovery_ms) {
         (Some(reason), Some(ms)) => {

@@ -70,6 +70,10 @@ pub struct NetReport {
     pub barriers: u64,
     /// Heartbeat frames consumed while waiting on workers.
     pub heartbeats: u64,
+    /// Coordinator link flushes: each one write of a batch of frames to
+    /// one worker (its `Spec`, each round's routed `Msg`s + `Barrier` +
+    /// next `Go`, the final `Finish`).
+    pub writes: u64,
     /// Why the run fell back to the in-process sequential executor
     /// (`None` when the distributed run completed on its own).
     pub fallback: Option<String>,
@@ -98,8 +102,13 @@ impl NetReport {
         let _ = write!(
             s,
             "{{\"workers\":{},\"frames_routed\":{},\"frame_bytes\":{},\"barriers\":{},\
-             \"heartbeats\":{},\"fallback\":",
-            self.workers, self.frames_routed, self.frame_bytes, self.barriers, self.heartbeats
+             \"heartbeats\":{},\"writes\":{},\"fallback\":",
+            self.workers,
+            self.frames_routed,
+            self.frame_bytes,
+            self.barriers,
+            self.heartbeats,
+            self.writes
         );
         match &self.fallback {
             Some(reason) => {

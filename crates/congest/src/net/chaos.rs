@@ -3,15 +3,13 @@
 //!
 //! PR 6's fault plan tampers with *messages* inside one address space;
 //! [`ChaosTransport`] tampers with the *byte stream* between processes:
-//! truncated writes that cut a frame mid-body, delayed writes that push
-//! a link past its round deadline, and hard disconnects. Wrapping the
-//! coordinator's side of one worker link with a [`ChaosPlan`] drives
-//! the recovery machinery (deadline → [`super::NetError::WorkerLost`]
-//! → sequential fallback) down paths a healthy loopback socket never
-//! exercises.
+//! truncated writes that cut a frame mid-body and hard disconnects.
+//! Wrapping the coordinator's side of one worker link with a
+//! [`ChaosPlan`] drives the recovery machinery (deadline →
+//! [`super::NetError::WorkerLost`] → sequential fallback) down paths a
+//! healthy loopback socket never exercises.
 
 use std::io::{Read, Write};
-use std::time::Duration;
 
 /// What goes wrong on one worker link, and when.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -22,10 +20,6 @@ pub struct ChaosPlan {
     /// short (a frame dies mid-body) and every later write fails with
     /// `BrokenPipe` — a mid-frame disconnect as the peer observes it.
     pub truncate_after_bytes: Option<u64>,
-    /// Sleep this long before every write — an overloaded or
-    /// rate-limited link. Large values push the round past its
-    /// deadline.
-    pub delay_write_ms: u64,
     /// At the start of this round the coordinator drops the link
     /// entirely (TCP shutdown), orphaning the worker.
     pub disconnect_at_round: Option<u32>,
@@ -44,24 +38,18 @@ impl ChaosPlan {
 
 /// A `Read + Write` wrapper executing a [`ChaosPlan`]'s byte-level
 /// faults. Reads pass through untouched (the plan torments what *this*
-/// side sends); writes are delayed, truncated, or refused per the plan.
+/// side sends); writes are truncated or refused per the plan.
 pub struct ChaosTransport<T> {
     inner: T,
     written: u64,
     truncate_after: Option<u64>,
-    delay: Duration,
 }
 
 impl<T> ChaosTransport<T> {
     /// Wraps `inner` under `plan` (only the write-side fields apply;
     /// round-indexed faults are the coordinator's job).
     pub fn new(inner: T, plan: &ChaosPlan) -> Self {
-        ChaosTransport {
-            inner,
-            written: 0,
-            truncate_after: plan.truncate_after_bytes,
-            delay: Duration::from_millis(plan.delay_write_ms),
-        }
+        ChaosTransport { inner, written: 0, truncate_after: plan.truncate_after_bytes }
     }
 
     /// The wrapped stream (for socket options, shutdown).
@@ -90,9 +78,6 @@ impl<T: Read> Read for ChaosTransport<T> {
 
 impl<T: Write> Write for ChaosTransport<T> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if !self.delay.is_zero() {
-            std::thread::sleep(self.delay);
-        }
         if let Some(cut) = self.truncate_after {
             if self.written >= cut {
                 return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "chaos: link cut"));

@@ -182,14 +182,22 @@ impl Deadline {
     }
 }
 
-/// Writes one frame. The caller flushes (heartbeats and barrier
-/// batches share a flush).
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> std::io::Result<()> {
+/// Appends one frame (header + body) to `buf`, so a batch of frames
+/// can leave in a single write.
+pub fn encode_frame(buf: &mut Vec<u8>, kind: FrameKind, body: &[u8]) {
     assert!(body.len() as u64 <= u64::from(MAX_BODY), "frame body exceeds MAX_BODY");
     let [l0, l1, l2, l3] = (body.len() as u32).to_le_bytes();
-    let header = [kind as u8, l0, l1, l2, l3];
-    w.write_all(&header)?;
-    w.write_all(body)
+    buf.reserve(HEADER_LEN + body.len());
+    buf.extend_from_slice(&[kind as u8, l0, l1, l2, l3]);
+    buf.extend_from_slice(body);
+}
+
+/// Writes one frame, header and body in one `write_all`. The caller
+/// flushes.
+pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> std::io::Result<()> {
+    let mut buf = Vec::new();
+    encode_frame(&mut buf, kind, body);
+    w.write_all(&buf)
 }
 
 /// Frame header size on the wire: `[kind: u8][len: u32 LE]`.
@@ -509,6 +517,35 @@ mod tests {
         assert_eq!(f2.kind, FrameKind::Barrier);
         assert!(f2.body.is_empty());
         assert_eq!(read_frame(&mut r, &d), Err(FrameError::Truncated));
+    }
+
+    /// Counts `write` calls, accepting every byte.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_of_the_encoded_frame() {
+        let mut w = CountingWriter { bytes: Vec::new(), writes: 0 };
+        write_frame(&mut w, FrameKind::Msg, &[1, 2, 3]).unwrap();
+        assert_eq!(w.writes, 1, "header and body leave together");
+        let mut batch = Vec::new();
+        encode_frame(&mut batch, FrameKind::Msg, &[1, 2, 3]);
+        assert_eq!(w.bytes, batch);
+        assert_eq!(batch, [FrameKind::Msg as u8, 3, 0, 0, 0, 1, 2, 3]);
     }
 
     #[test]

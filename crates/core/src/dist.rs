@@ -29,12 +29,19 @@
 //! any failure: coord → Abort / worker → Error
 //! ```
 //!
+//! Frames leave in one write per link per round phase. A worker sends
+//! its round's `Msg*` and `Done` as one batch; the coordinator queues
+//! each link's routed `Msg*` and `Barrier(r)` and flushes them together
+//! with `Go(r+1)` (or `Finish`). Batching changes only how bytes are
+//! grouped into writes, never their order on a link, so the FIFO
+//! argument behind the barrier holds unchanged.
+//!
 //! Every failure is a typed [`NetError`] produced within the
 //! configured deadlines (see the [`ck_congest::net`] failure table);
 //! [`crate::tester`] degrades a failed distributed run to the
 //! sequential oracle and records the fallback in the run report.
 
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 // ck-lint: allow(determinism, reason = "Instant only drives heartbeat liveness deadlines; a late worker becomes a typed NetError and the run falls back to the sequential oracle, so verdict bits never depend on the clock")
 use std::time::{Duration, Instant};
@@ -45,10 +52,10 @@ use ck_congest::message::{BitReader, ContextCodec, WireCodec, WireParams};
 use ck_congest::metrics::{NetReport, RunReport};
 use ck_congest::net::chaos::{ChaosPlan, ChaosTransport};
 use ck_congest::net::frame::{
-    decode_msg_body, encode_msg_body, read_frame, ByteReader, ByteWriter, Deadline, Frame,
-    FrameError, FrameKind, MsgHeader,
+    decode_msg_body, encode_frame, encode_msg_body, read_frame, write_frame, ByteReader,
+    ByteWriter, Deadline, Frame, FrameError, FrameKind, MsgHeader,
 };
-use ck_congest::net::link::{connect_with_retry, HeartbeatHandle, SharedWriter};
+use ck_congest::net::link::{connect_with_retry, AcceptPoll, HeartbeatHandle, SharedWriter};
 use ck_congest::net::partition::{partition_range, OutFrame, PartitionEngine, RoundDigest};
 use ck_congest::net::{LostCause, NetError, NetOptions};
 
@@ -392,8 +399,9 @@ pub fn decode_in_frame(body: &[u8], params: &WireParams) -> Result<(MsgHeader, C
 /// threads.
 pub fn worker_serve(stream: TcpStream, index: u32, hard_abort: bool) -> Result<(), FrameError> {
     let _ = stream.set_nodelay(true);
-    let mut reader = stream.try_clone().map_err(FrameError::from)?;
-    reader.set_read_timeout(Some(Duration::from_millis(20))).map_err(FrameError::from)?;
+    let read_half = stream.try_clone().map_err(FrameError::from)?;
+    read_half.set_read_timeout(Some(Duration::from_millis(20))).map_err(FrameError::from)?;
+    let mut reader = BufReader::new(read_half);
     let writer = SharedWriter::new(stream);
     let result = worker_serve_inner(&mut reader, &writer, index, hard_abort);
     if let Err(e) = &result {
@@ -403,7 +411,7 @@ pub fn worker_serve(stream: TcpStream, index: u32, hard_abort: bool) -> Result<(
 }
 
 fn worker_serve_inner(
-    reader: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     writer: &SharedWriter<TcpStream>,
     index: u32,
     hard_abort: bool,
@@ -437,6 +445,8 @@ fn worker_serve_inner(
     // round deadlines is gone; exit instead of lingering forever.
     let idle_ms = spec.round_deadline_ms.saturating_mul(10).max(10_000);
     let mut out: Vec<OutFrame<CkMsg>> = Vec::new();
+    // One round's `Msg*` + `Done`, encoded back to back for one write.
+    let mut batch: Vec<u8> = Vec::new();
     loop {
         let frame = read_frame(reader, &Deadline::after_ms(idle_ms))?;
         match frame.kind {
@@ -449,18 +459,20 @@ fn worker_serve_inner(
                         std::process::abort();
                     }
                     hb.stop();
-                    let _ = reader.shutdown(Shutdown::Both);
+                    let _ = reader.get_ref().shutdown(Shutdown::Both);
                     return Ok(());
                 }
                 out.clear();
                 let digest = engine.step_round(round, &mut out);
+                batch.clear();
                 for f in &out {
-                    writer.send(FrameKind::Msg, &encode_out_frame(f, &params)?)?;
+                    encode_frame(&mut batch, FrameKind::Msg, &encode_out_frame(f, &params)?);
                 }
                 let mut done = Vec::with_capacity(4 + 128);
                 done.extend_from_slice(&round.to_le_bytes());
                 done.extend_from_slice(&digest.to_bytes());
-                writer.send(FrameKind::Done, &done)?;
+                encode_frame(&mut batch, FrameKind::Done, &done);
+                writer.send_encoded(&batch)?;
             }
             FrameKind::Msg => {
                 let (header, msg) = decode_in_frame(&frame.body, &params)?;
@@ -503,8 +515,10 @@ pub fn worker_main(addr: &str, index: u32) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 struct WorkerLink {
-    reader: TcpStream,
+    reader: BufReader<TcpStream>,
     writer: ChaosTransport<TcpStream>,
+    /// Frames queued for this link's next flush.
+    out: Vec<u8>,
     // ck-lint: allow(determinism, reason = "liveness bookkeeping only; see the use-declaration allow")
     last_beat: Instant,
     child: Option<std::process::Child>,
@@ -513,7 +527,7 @@ struct WorkerLink {
 
 impl WorkerLink {
     fn shutdown(&mut self) {
-        let _ = self.reader.shutdown(Shutdown::Both);
+        let _ = self.reader.get_ref().shutdown(Shutdown::Both);
     }
 
     fn reap(&mut self) {
@@ -547,23 +561,34 @@ impl Coordinator {
     /// by `Drop` on every early exit).
     fn abort_all(&mut self) {
         for link in &mut self.links {
-            let _ = write_framed(&mut link.writer, FrameKind::Abort, &[]);
+            let _ = write_frame(&mut link.writer, FrameKind::Abort, &[])
+                .and_then(|()| link.writer.flush());
         }
     }
 
-    /// Sends one frame to worker `w`; a write failure is the link
-    /// observing that worker's death.
-    fn send_to(
-        &mut self,
-        w: usize,
-        kind: FrameKind,
-        body: &[u8],
-        round: u32,
-    ) -> Result<(), NetError> {
-        write_framed(&mut self.links[w].writer, kind, body).map_err(|_| {
-            self.links[w].shutdown();
-            NetError::WorkerLost { worker: w as u32, round, cause: LostCause::Death }
-        })
+    /// Queues one frame for worker `w`'s next [`Coordinator::flush`].
+    fn queue(&mut self, w: usize, kind: FrameKind, body: &[u8]) {
+        encode_frame(&mut self.links[w].out, kind, body);
+    }
+
+    /// Writes everything queued for worker `w` in one write and
+    /// flushes it; a write failure is the link observing that worker's
+    /// death.
+    fn flush(&mut self, w: usize, round: u32) -> Result<(), NetError> {
+        let link = &mut self.links[w];
+        let sent = link.writer.write_all(&link.out).and_then(|()| link.writer.flush());
+        link.out.clear();
+        if sent.is_err() {
+            link.shutdown();
+            return Err(NetError::WorkerLost { worker: w as u32, round, cause: LostCause::Death });
+        }
+        self.report_net.writes += 1;
+        Ok(())
+    }
+
+    /// [`Coordinator::flush`] on every link, in worker order.
+    fn flush_all(&mut self, round: u32) -> Result<(), NetError> {
+        (0..self.links.len()).try_for_each(|w| self.flush(w, round))
     }
 
     /// Reads the next protocol frame from worker `w`, consuming (and
@@ -610,15 +635,6 @@ impl Coordinator {
             }
         }
     }
-}
-
-fn write_framed(
-    w: &mut ChaosTransport<TcpStream>,
-    kind: FrameKind,
-    body: &[u8],
-) -> std::io::Result<()> {
-    ck_congest::net::frame::write_frame(w, kind, body)?;
-    w.flush()
 }
 
 /// Runs the full tester distributed over `workers` partitions;
@@ -683,6 +699,7 @@ pub fn run_distributed(
     // links stay index-aligned regardless of connect order.
     let mut slots: Vec<Option<WorkerLink>> = (0..w_count).map(|_| None).collect();
     let accept_deadline = Deadline::after_ms(net.connect_timeout_ms);
+    let mut poll = AcceptPoll::default();
     let mut accepted = 0u32;
     while accepted < w_count {
         if accept_deadline.expired() {
@@ -693,12 +710,9 @@ pub fn run_distributed(
                 detail: "accept deadline passed before the handshake".to_string(),
             }));
         }
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
+        let stream = match poll.accept(&listener) {
+            Ok(Some(s)) => s,
+            Ok(None) => continue,
             Err(e) => {
                 teardown_partial(&mut slots, &mut children, &mut threads);
                 return Err(DistError::Net(NetError::Spawn(e.to_string())));
@@ -712,8 +726,11 @@ pub fn run_distributed(
                 return Err(DistError::Net(e));
             }
         };
+        // The link's reader is created once and buffers for the link's
+        // lifetime; `handshake` read the Hello through its own
+        // unbuffered clone, so no bytes were read ahead of it.
         let reader = match stream.try_clone() {
-            Ok(r) => r,
+            Ok(r) => BufReader::new(r),
             Err(e) => {
                 teardown_partial(&mut slots, &mut children, &mut threads);
                 return Err(DistError::Net(NetError::Connect {
@@ -722,7 +739,7 @@ pub fn run_distributed(
                 }));
             }
         };
-        let _ = reader.set_read_timeout(Some(Duration::from_millis(20)));
+        let _ = reader.get_ref().set_read_timeout(Some(Duration::from_millis(20)));
         let plan = match net.chaos {
             Some(c) if c.worker == index => c,
             _ => ChaosPlan::for_worker(index),
@@ -730,6 +747,7 @@ pub fn run_distributed(
         slots[index as usize] = Some(WorkerLink {
             reader,
             writer: ChaosTransport::new(stream, &plan),
+            out: Vec::new(),
             // ck-lint: allow(determinism, reason = "liveness baseline for the heartbeat monitor")
             last_beat: Instant::now(),
             child: children[index as usize].take(),
@@ -769,7 +787,8 @@ pub fn run_distributed(
             heartbeat_ms: net.heartbeat_ms,
             round_deadline_ms: net.round_deadline_ms,
         };
-        coord.send_to(i, FrameKind::Spec, &spec.to_bytes(), 0).map_err(DistError::Net)?;
+        coord.queue(i, FrameKind::Spec, &spec.to_bytes());
+        coord.flush(i, 0).map_err(DistError::Net)?;
     }
     let ready_deadline = Deadline::after_ms(net.connect_timeout_ms);
     for i in 0..w_count as usize {
@@ -789,8 +808,6 @@ pub fn run_distributed(
         RunReport { executor: "distributed", threads: w_count as usize, ..RunReport::default() };
     let mut active = n;
     let mut round = 0u32;
-    // Buffered per round: `(owner, body)` of every routed delivery.
-    let mut routed: Vec<(usize, Vec<u8>)> = Vec::new();
     while round < engine.max_rounds {
         if active == 0 {
             break;
@@ -817,16 +834,19 @@ pub fn run_distributed(
             }
         }
 
+        // `Go(r)` leaves in the same write as the previous round's
+        // routed deliveries and `Barrier(r-1)`.
         for i in 0..w_count as usize {
-            coord.send_to(i, FrameKind::Go, &round.to_le_bytes(), round).map_err(DistError::Net)?;
+            coord.queue(i, FrameKind::Go, &round.to_le_bytes());
         }
+        coord.flush_all(round).map_err(DistError::Net)?;
 
-        // Collect this round: Msg frames buffer for routing, Done
-        // frames carry the partition digests; merged in ascending
+        // Collect this round: Msg frames queue on their owner's link,
+        // Done frames carry the partition digests; merged in ascending
         // worker (= node-range) order so the leftmost-violation rule
-        // matches the sequential fold.
+        // matches the sequential fold. A bandwidth violation aborts
+        // before any queued delivery is flushed.
         let deadline = Deadline::after_ms(net.round_deadline_ms);
-        routed.clear();
         let mut digest = RoundDigest::default();
         for i in 0..w_count as usize {
             loop {
@@ -844,7 +864,9 @@ pub fn run_distributed(
                                 round,
                                 err: FrameError::BadBody("receiver outside the graph"),
                             }))?;
-                        routed.push((owner, frame.body));
+                        coord.report_net.frames_routed += 1;
+                        coord.report_net.frame_bytes += frame.body.len() as u64;
+                        coord.queue(owner, FrameKind::Msg, &frame.body);
                     }
                     FrameKind::Done => {
                         if frame.body.len() < 4 || frame.body[0..4] != round.to_le_bytes() {
@@ -894,17 +916,11 @@ pub fn run_distributed(
             report.per_round.push(digest.to_stats(round, active + digest.halted as usize));
         }
 
-        // Route, then barrier: a worker that saw `Barrier(r)` has, by
-        // FIFO, already received every delivery of round `r`.
-        for (owner, body) in routed.drain(..) {
-            coord.report_net.frames_routed += 1;
-            coord.report_net.frame_bytes += body.len() as u64;
-            coord.send_to(owner, FrameKind::Msg, &body, round).map_err(DistError::Net)?;
-        }
+        // Barrier behind the routed deliveries: a worker that saw
+        // `Barrier(r)` has, by FIFO, already received every delivery
+        // of round `r`. It leaves with the next `Go` or `Finish`.
         for i in 0..w_count as usize {
-            coord
-                .send_to(i, FrameKind::Barrier, &round.to_le_bytes(), round)
-                .map_err(DistError::Net)?;
+            coord.queue(i, FrameKind::Barrier, &round.to_le_bytes());
             coord.report_net.barriers += 1;
         }
         round += 1;
@@ -913,8 +929,9 @@ pub fn run_distributed(
     // Verdict collection, in worker order = node order.
     let mut verdicts: Vec<NodeVerdict> = Vec::with_capacity(n);
     for i in 0..w_count as usize {
-        coord.send_to(i, FrameKind::Finish, &[], round).map_err(DistError::Net)?;
+        coord.queue(i, FrameKind::Finish, &[]);
     }
+    coord.flush_all(round).map_err(DistError::Net)?;
     let final_deadline = Deadline::after_ms(net.round_deadline_ms);
     for (i, range) in ranges.iter().enumerate() {
         let frame = coord.read_protocol(i, &final_deadline, round).map_err(DistError::Net)?;

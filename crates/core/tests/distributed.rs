@@ -14,6 +14,7 @@ use ck_congest::fault::FaultPlan;
 use ck_congest::graph::Graph;
 use ck_congest::net::chaos::ChaosPlan;
 use ck_congest::net::NetOptions;
+use ck_core::dist::JobSpec;
 use ck_core::session::TesterSession;
 use ck_core::tester::{TesterConfig, TesterRun};
 use ck_graphgen::basic::{complete, cycle, path};
@@ -197,6 +198,33 @@ fn single_worker_partition_is_identical_and_routes_nothing() {
 }
 
 #[test]
+fn healthy_run_makes_one_write_per_link_per_phase() {
+    // The coordinator flushes each link once for `Spec`, once per round
+    // (routed deliveries + `Barrier(r-1)` + `Go(r)`) and once for
+    // `Finish` (with the last `Barrier`): the batching is a count that
+    // repeats exactly, independent of how many frames a round routes.
+    let inst = eps_far_instance(24, 4, 0.15, 5);
+    let mut cfg = TesterConfig::new(4, 0.25, 9);
+    cfg.repetitions = Some(2);
+    for workers in [2u16, 3] {
+        let run = run_with(
+            &inst.graph,
+            cfg,
+            EngineConfig {
+                executor: Executor::Distributed { workers },
+                net: fast_net(),
+                ..EngineConfig::default()
+            },
+        );
+        let net = run.outcome.report.net.as_ref().unwrap();
+        assert!(net.completed_distributed());
+        assert!(net.frames_routed > 0, "the cut carries deliveries");
+        let rounds = u64::from(run.outcome.report.rounds);
+        assert_eq!(net.writes, u64::from(workers) * (rounds + 2), "{workers} workers");
+    }
+}
+
+#[test]
 fn partition_aligned_components_route_zero_frames() {
     // Two cliques on disjoint contiguous index ranges, two workers:
     // the cut between partitions carries no edges, so every round's
@@ -322,10 +350,51 @@ fn mid_frame_truncation_degrades_gracefully() {
     let inst = eps_far_instance(24, 4, 0.15, 14);
     let mut cfg = TesterConfig::new(4, 0.25, 21);
     cfg.repetitions = Some(2);
-    // The coordinator's link to worker 0 dies mid-frame after 40
-    // bytes — inside the Spec frame, the rudest possible cut.
-    let plan = ChaosPlan { truncate_after_bytes: Some(40), ..ChaosPlan::for_worker(0) };
-    assert_degraded_matches_oracle(&inst.graph, cfg, chaos_net(plan));
+    // Cut points on the coordinator's link to worker 0 follow its write
+    // batches: the `Spec` frame, then `Go(0)` (9 bytes), then per round
+    // the routed deliveries + `Barrier(r)` + `Go(r+1)`, at least 18
+    // bytes each.
+    let base = chaos_net(ChaosPlan::for_worker(0));
+    let spec = JobSpec {
+        graph: inst.graph.clone(),
+        cfg,
+        engine: EngineConfig {
+            max_rounds: ck_core::total_rounds(cfg.k, cfg.effective_repetitions()),
+            ..EngineConfig::default()
+        },
+        workers: 2,
+        worker: 0,
+        abort_at_round: None,
+        heartbeat_ms: base.heartbeat_ms,
+        round_deadline_ms: base.round_deadline_ms,
+    };
+    let spec_frame = 5 + spec.to_bytes().len() as u64;
+    let rounds = u64::from(
+        run_with(
+            &inst.graph,
+            cfg,
+            EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() },
+        )
+        .outcome
+        .report
+        .rounds,
+    );
+    let cuts = [
+        // Inside the Spec frame, the rudest possible cut.
+        40,
+        // Strictly inside round 0's batch (routed deliveries +
+        // `Barrier(0)` + `Go(1)`), which is at least 18 bytes long.
+        spec_frame + 9 + 13,
+        // A late round: the stream carries at least `Go` + `Barrier`
+        // per round and a 5-byte `Finish`, so this, one byte short of
+        // that floor, is the latest cut sure to fire.
+        spec_frame + 18 * rounds + 4,
+    ];
+    assert!(spec_frame > 40 && rounds > 2);
+    for cut in cuts {
+        let plan = ChaosPlan { truncate_after_bytes: Some(cut), ..ChaosPlan::for_worker(0) };
+        assert_degraded_matches_oracle(&inst.graph, cfg, chaos_net(plan));
+    }
 }
 
 #[test]

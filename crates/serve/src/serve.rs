@@ -3,8 +3,9 @@
 //!
 //! Concurrency shape (the PR 7 executor idiom, turned long-running):
 //!
-//! - The acceptor thread polls a nonblocking listener and spawns one
-//!   handler thread per client connection.
+//! - The acceptor thread polls a nonblocking listener (paced by the
+//!   shared [`AcceptPoll`] backoff) and spawns one handler thread per
+//!   client connection.
 //! - Handlers parse RPC frames, run **admission control** inline
 //!   (config validation, graph-size cap, in-flight budget, drain
 //!   state — every refusal a typed [`ServeError`] frame with the job
@@ -42,7 +43,7 @@ use std::time::Instant;
 use ck_congest::engine::{EngineConfig, Executor};
 use ck_congest::graph::Graph;
 use ck_congest::net::frame::{Deadline, FrameError, FrameKind, FrameReader};
-use ck_congest::net::link::SharedWriter;
+use ck_congest::net::link::{AcceptPoll, SharedWriter};
 use ck_core::session::TesterSession;
 use ck_core::tester::{TesterConfig, TesterRun};
 
@@ -70,7 +71,7 @@ pub struct ServeOptions {
     /// A worker idle this long tears down its warm session, returning
     /// arena memory; the next job rebuilds it.
     pub idle_reclaim_ms: u64,
-    /// Socket poll granularity (read deadlines, accept backoff) — a
+    /// Socket poll granularity of the client read deadlines — a
     /// liveness knob, not a correctness one.
     pub poll_ms: u64,
     /// Cap on concurrently connected clients (one handler thread
@@ -551,9 +552,10 @@ impl BoundServer {
             .collect();
         let _ = self.listener.set_nonblocking(true);
         let mut handlers = Vec::new();
+        let mut poll = AcceptPoll::default();
         while !shared.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
+            match poll.accept(&self.listener) {
+                Ok(Some(stream)) => {
                     // Reap finished handler threads on every accept so
                     // the vec (and peak thread count) tracks *live*
                     // connections, not lifetime connections.
@@ -569,10 +571,8 @@ impl BoundServer {
                     let o = Arc::clone(&opts);
                     handlers.push(thread::spawn(move || client_loop(&sh, &o, stream)));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(2)),
+                Ok(None) => {}
+                Err(_) => poll.pause(),
             }
         }
         for w in workers {
