@@ -313,7 +313,7 @@ struct BatchRow {
 
 /// Measures the batch runner against the one-by-one loop on a
 /// `count`-graph planted sweep: per mode, times (a) the plain
-/// `run_tester` loop, (b) the batch runner with one shard, and (c) the
+/// one-by-one tester loop, (b) the batch runner with one shard, and (c) the
 /// batch runner sharded across the thread pool — after asserting all
 /// three produce bit-identical per-job outputs. Returns the rows plus
 /// the sweep's observed batch-over-loop ratios keyed
@@ -451,20 +451,17 @@ struct ScanRow {
 /// the committed planted + Behrend sweeps plus a dense-decide layered
 /// instance (per-node candidate blocks far past the kernel
 /// break-even), once per collision-scan backend — scalar reference,
-/// forced portable lane kernels, the size-dispatching hybrid default,
-/// and (when compiled) the forced `core::arch` intrinsics — with full
-/// verdict and per-round bit-identity asserted across backends before
-/// any timing. Returns the rows plus `"workload/n/backend"`-keyed
-/// over-scalar ratios.
+/// forced portable lane kernels, and the size-dispatching hybrid
+/// default — with full verdict and per-round bit-identity asserted
+/// across backends before any timing. The backend only changes the
+/// decide round; every row runs the scalar pruner. Returns the rows
+/// plus `"workload/n/backend"`-keyed over-scalar ratios.
 fn scan_sweep(n: usize, budget: &Budget) -> (Vec<ScanRow>, Vec<(String, f64)>) {
-    let mut backends: Vec<(ScanBackend, &'static str)> = vec![
+    let backends: [(ScanBackend, &'static str); 3] = [
         (ScanBackend::Scalar, "scalar"),
         (ScanBackend::Lanes, "kernel"),
         (ScanBackend::Hybrid, "hybrid"),
     ];
-    if ScanBackend::simd_compiled() {
-        backends.push((ScanBackend::Simd, "simd"));
-    }
     // Per-case `n` is the row's recorded scale: the sweep scale for the
     // committed workloads (matching their main-sweep entries), the
     // instance's true node count for the purpose-built dense case.
@@ -1314,13 +1311,12 @@ fn main() {
          committed schema-v1 PR-1 record with the unchanged legacy engine as drift control, \
          and pr1_absolute_speedup_met states plainly whether the raw vs-PR-1 bar is met. \
          v3 adds the batch block: the sharded multi-graph batch runner (one reusable engine \
-         workspace + tester scratch per shard) vs the one-by-one run_tester loop on a \
+         workspace + tester scratch per shard) vs the one-by-one tester loop on a \
          multi-graph planted sweep, all three strategies asserted bit-identical per job \
          before timing, shards/threads recorded honestly per row. v4 adds the scan block: \
          the accounted sequential C5 tester per collision-scan backend — scalar IdSeq \
          reference vs the forced SeqBlock lane kernels vs the size-dispatching hybrid \
-         default vs (when compiled with --features simd) the forced core::arch SSE2/AVX2 \
-         variants — on the committed planted/Behrend sweeps, a dense layered case, and \
+         default — on the committed planted/Behrend sweeps, a dense layered case, and \
          synthetic micro decide rows whose candidate blocks sit past the kernel \
          break-even, with verdicts (and witness lists on the micro rows) asserted \
          bit-identical across backends before timing. v6 adds the robust block: \
@@ -1436,7 +1432,6 @@ fn main() {
     let _ = writeln!(json, "    \"mode\": \"accounted\",");
     let _ = writeln!(json, "    \"executor\": \"sequential\",");
     let _ = writeln!(json, "    \"n\": {scan_n},");
-    let _ = writeln!(json, "    \"simd_compiled\": {},", ScanBackend::simd_compiled());
     let _ = writeln!(json, "    \"bit_identical\": true,");
     json.push_str("    \"entries\": [\n");
     for (i, r) in scan_rows.iter().enumerate() {

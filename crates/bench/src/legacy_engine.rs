@@ -35,8 +35,9 @@ struct Slot<P: Program> {
     degree: u32,
 }
 
-/// Runs `factory`-instantiated programs with the pre-arena engine.
-/// Signature-compatible with [`ck_congest::engine::run`].
+/// Runs `factory`-instantiated programs with the pre-arena engine:
+/// the same outcome as a one-shot [`ck_congest::session::Session::run`]
+/// with `config`.
 pub fn run_legacy<'g, P, F>(
     graph: &'g Graph,
     config: &EngineConfig,

@@ -57,7 +57,6 @@
 //! assert_eq!(out.verdicts, vec![1, 2, 2]);
 //! ```
 
-pub mod aggregate;
 pub(crate) mod arena;
 pub mod batch;
 pub mod engine;
@@ -71,17 +70,11 @@ pub mod protocols;
 pub mod rngs;
 pub mod session;
 pub mod topology;
-pub mod trace;
 
 pub use batch::{effective_shards, run_sharded, run_sharded_with_min_items};
 pub use engine::{
     BandwidthPolicy, EngineConfig, EngineError, EngineWorkspace, Executor, RunOutcome, SlotStats,
 };
-// The legacy free-function entry points, kept importable at the crate
-// root for out-of-tree callers mid-migration.
-#[allow(deprecated)]
-// ck-lint: allow(legacy-entry, reason = "the one sanctioned re-export keeping deprecated names importable for out-of-tree callers mid-migration")
-pub use engine::{run, run_with_workspace};
 pub use graph::{Edge, Graph, GraphBuilder, GraphError, NodeId, NodeIndex};
 pub use message::{bits_for, BitReader, BitWriter, CodecError, WireCodec, WireMessage, WireParams};
 pub use metrics::{NetReport, RoundStats, RunReport};

@@ -127,11 +127,11 @@ fn pruner_tag(p: PrunerKind) -> u8 {
     }
 }
 
+/// Tag 2 belonged to a retired backend and now decodes as unknown.
 fn scan_tag(s: ScanBackend) -> u8 {
     match s {
         ScanBackend::Scalar => 0,
         ScanBackend::Lanes => 1,
-        ScanBackend::Simd => 2,
         ScanBackend::Hybrid => 3,
     }
 }
@@ -206,7 +206,6 @@ impl JobSpec {
         let scan = match r.u8()? {
             0 => ScanBackend::Scalar,
             1 => ScanBackend::Lanes,
-            2 => ScanBackend::Simd,
             3 => ScanBackend::Hybrid,
             _ => return Err(FrameError::BadBody("unknown scan tag")),
         };
@@ -1053,6 +1052,37 @@ mod tests {
         assert_eq!(back.workers, 3);
         assert_eq!(back.worker, 1);
         assert_eq!(back.abort_at_round, Some(9));
+
+        // Every pruner and scan backend survives the trip under its
+        // fixed wire tag.
+        let with = |pruner, scan| {
+            let mut spec = sample_spec();
+            spec.cfg.pruner = pruner;
+            spec.cfg.scan = scan;
+            spec.to_bytes()
+        };
+        let rep = PrunerKind::Representative;
+        let base = with(rep, ScanBackend::Scalar);
+        let scan_at =
+            base.iter().zip(&with(rep, ScanBackend::Lanes)).position(|(a, b)| a != b).unwrap();
+        for pruner in [PrunerKind::Literal, PrunerKind::Representative] {
+            for (scan, tag) in
+                [(ScanBackend::Scalar, 0u8), (ScanBackend::Lanes, 1), (ScanBackend::Hybrid, 3)]
+            {
+                let bytes = with(pruner, scan);
+                assert_eq!(bytes[scan_at], tag, "{scan:?}");
+                let back = JobSpec::from_bytes(&bytes).unwrap();
+                assert_eq!((back.cfg.pruner, back.cfg.scan), (pruner, scan));
+            }
+        }
+
+        // The retired scan tag 2 is rejected as unknown.
+        let mut retired = base;
+        retired[scan_at] = 2;
+        assert_eq!(
+            JobSpec::from_bytes(&retired).err(),
+            Some(FrameError::BadBody("unknown scan tag"))
+        );
     }
 
     #[test]

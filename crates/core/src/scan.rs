@@ -1,12 +1,11 @@
-//! The collision-scan kernel subsystem: Phase-2 rejection and pruning
-//! as branchless batch scans over a lane-major sequence block.
+//! The collision-scan kernel subsystem: Phase-2 rejection as
+//! branchless batch scans over a lane-major sequence block.
 //!
 //! Profiles after the arena/broadcast/batch work (PRs 1–3) put the
 //! remaining tester cost in `decide_reject`'s pairwise
-//! disjointness/union checks and the pruner's transversal membership
-//! scans — branchy scalar loops over inline [`IdSeq`]s, executed
-//! O(rep²) candidate pairs per node per decision. This module replaces
-//! those per-pair calls with *batch* scans:
+//! disjointness/union checks — branchy scalar loops over inline
+//! [`IdSeq`]s, executed O(rep²) candidate pairs per node per decision.
+//! This module replaces those per-pair calls with *batch* scans:
 //!
 //! * [`SeqBlock`] packs a node's candidate sequence set into a
 //!   lane-major structure-of-arrays view — [`crate::seq::MAX_SEQ_LEN`] ID lanes ×
@@ -16,20 +15,20 @@
 //! * the fixed-width kernels ([`SeqBlock::overlap_counts`],
 //!   [`SeqBlock::contains_row`], [`SeqBlock::pairwise_disjoint`],
 //!   [`SeqBlock::union_size_with`]) are branchless bitmask reductions
-//!   over whole lanes that auto-vectorize on stable Rust; the optional
-//!   `simd` cargo feature swaps in arch-specific SSE2/AVX2 variants via
-//!   `core::arch` (runtime-dispatched, SSE2 being the x86-64 baseline);
-//! * [`decide_all_rejects_scanned`] and the pruner's scanned form
-//!   (`prune::build_send_set_scanned`) rebuild the final-round decision
-//!   and the representative-family acceptance on those kernels, with
-//!   output **identical** to the scalar reference — same witnesses, in
-//!   the same order (property-tested in `tests/scan_differential.rs`).
+//!   over whole lanes that auto-vectorize on stable Rust;
+//! * [`decide_all_rejects_scanned`] rebuilds the final-round decision
+//!   on those kernels, with output **identical** to the scalar
+//!   reference — same witnesses, in the same order (property-tested in
+//!   `tests/scan_differential.rs`).
 //!
 //! The scalar `IdSeq` methods remain the reference implementation and
 //! the `--no-default-features` build dispatches everything through
 //! them; [`ScanBackend`] selects the path at runtime so one binary can
-//! compare all of them (the bench harness and the differential suite
-//! do exactly that).
+//! compare them (the bench harness and the differential suite do
+//! exactly that). The pruner always runs the scalar
+//! [`crate::prune::build_send_set_into`]: its early-exit transversal
+//! scans touch only the ≤ `lemma3_bound` accepted sequences and beat a
+//! block-kernel form in every protocol-realistic regime.
 //!
 //! Block packing has a real fixed cost, so the kernels only pay off
 //! past a measured block size ([`KERNEL_MIN_SEQS`]) — and
@@ -37,8 +36,8 @@
 //! it by design (Lemma 3 pruning bounds each neighbor's contribution,
 //! rank arbitration activates one check per neighborhood). The
 //! production default is therefore [`ScanBackend::Hybrid`]: per-call
-//! size dispatch for the decide path, scalar for the pruner, with the
-//! forced kernel backends kept for benching and differential testing.
+//! size dispatch for the decide path, with the forced kernel backend
+//! kept for benching and differential testing.
 //!
 //! ## Correctness preconditions
 //!
@@ -60,13 +59,13 @@ use ck_congest::graph::NodeId;
 /// [`ScanBackend::Hybrid`] dispatches on this bound.
 pub const KERNEL_MIN_SEQS: usize = 8;
 
-/// Which implementation the Phase-2 collision scans run on.
+/// Which implementation the Phase-2 decide scans run on.
 ///
 /// All backends produce bit-identical results; the choice is purely a
 /// performance/coverage knob. The CI feature matrix pins the *default*
 /// per build (`--no-default-features` → [`ScanBackend::Scalar`],
-/// default features and `--features simd` → [`ScanBackend::Hybrid`]
-/// over the respective kernels) so no path can bitrot unnoticed.
+/// default features → [`ScanBackend::Hybrid`]) so neither path can
+/// bitrot unnoticed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ScanBackend {
     /// The scalar [`IdSeq`] reference loops.
@@ -74,16 +73,10 @@ pub enum ScanBackend {
     /// Portable branchless lane kernels (auto-vectorized), forced for
     /// every input size.
     Lanes,
-    /// Arch-specific (`core::arch` SSE2/AVX2) lane kernels, forced for
-    /// every input size. Resolves to [`ScanBackend::Lanes`] when the
-    /// `simd` feature is not compiled or the target is not x86-64.
-    Simd,
-    /// Size-aware production dispatch: the decide path runs the best
-    /// compiled kernel when the candidate block has at least
+    /// Size-aware production dispatch: the decide path runs the lane
+    /// kernels when the candidate block has at least
     /// [`KERNEL_MIN_SEQS`] sequences and the scalar reference below
-    /// that; the pruner always takes the scalar branch (its early-exit
-    /// transversal scans beat hit-row maintenance in every
-    /// protocol-realistic regime — see `prune::build_send_set_scanned`).
+    /// that.
     Hybrid,
 }
 
@@ -91,46 +84,21 @@ impl ScanBackend {
     /// The best backend this build provides — what protocols use unless
     /// explicitly overridden.
     pub fn auto() -> ScanBackend {
-        if Self::simd_compiled() || cfg!(feature = "block-scan") {
+        if cfg!(feature = "block-scan") {
             ScanBackend::Hybrid
         } else {
             ScanBackend::Scalar
         }
     }
 
-    /// True when the arch-specific kernels are compiled into this build
-    /// (`simd` feature on an x86-64 target).
-    pub fn simd_compiled() -> bool {
-        cfg!(all(feature = "simd", target_arch = "x86_64"))
-    }
-
-    /// The fastest forced kernel this build compiles — what
-    /// [`ScanBackend::Hybrid`] dispatches large blocks to.
-    pub fn best_kernel() -> ScanBackend {
-        if Self::simd_compiled() {
-            ScanBackend::Simd
-        } else {
-            ScanBackend::Lanes
-        }
-    }
-
-    /// Downgrades [`ScanBackend::Simd`] to [`ScanBackend::Lanes`] when
-    /// the intrinsics are not compiled; identity otherwise.
-    pub fn resolve(self) -> ScanBackend {
-        match self {
-            ScanBackend::Simd if !Self::simd_compiled() => ScanBackend::Lanes,
-            b => b,
-        }
-    }
-
     /// The concrete backend the decide path runs for a candidate block
-    /// of `seqs` sequences: resolves [`ScanBackend::Hybrid`] by size,
-    /// forced backends by [`ScanBackend::resolve`].
+    /// of `seqs` sequences: resolves [`ScanBackend::Hybrid`] by size;
+    /// forced backends ignore the size.
     pub fn for_block(self, seqs: usize) -> ScanBackend {
         match self {
-            ScanBackend::Hybrid if seqs >= KERNEL_MIN_SEQS => Self::best_kernel(),
+            ScanBackend::Hybrid if seqs >= KERNEL_MIN_SEQS => ScanBackend::Lanes,
             ScanBackend::Hybrid => ScanBackend::Scalar,
-            b => b.resolve(),
+            b => b,
         }
     }
 }
@@ -143,89 +111,12 @@ impl Default for ScanBackend {
 
 /// One equality sweep along a lane: `acc[s] += (ids[s] == e) & valid[s]`
 /// for every sequence `s`. This is the single primitive every kernel
-/// reduces to; the portable form is written to auto-vectorize, and the
-/// `simd` feature swaps in `core::arch` variants.
+/// reduces to, written to auto-vectorize.
 #[inline]
-fn eq_add_row(backend: ScanBackend, ids: &[NodeId], valid: &[u64], e: NodeId, acc: &mut [u64]) {
+fn eq_add_row(ids: &[NodeId], valid: &[u64], e: NodeId, acc: &mut [u64]) {
     debug_assert!(ids.len() == acc.len() && valid.len() == acc.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if backend == ScanBackend::Simd {
-        // SAFETY: the three rows have equal length (asserted above);
-        // SSE2 is the x86-64 baseline and AVX2 is runtime-detected.
-        unsafe { x86::eq_add_row(ids, valid, e, acc) };
-        return;
-    }
-    let _ = backend;
     for ((&id, &v), a) in ids.iter().zip(valid).zip(acc.iter_mut()) {
         *a += u64::from(id == e) & v;
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod x86 {
-    //! `core::arch` lane sweeps. AVX2 processes 4 IDs per step with a
-    //! native 64-bit compare; the SSE2 fallback (always available on
-    //! x86-64) processes 2, emulating the 64-bit compare with two
-    //! 32-bit compares ANDed across each half.
-
-    use core::arch::x86_64::*;
-
-    /// # Safety
-    /// `ids`, `valid`, and `acc` must have equal lengths.
-    pub(super) unsafe fn eq_add_row(ids: &[u64], valid: &[u64], e: u64, acc: &mut [u64]) {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            eq_add_row_avx2(ids, valid, e, acc)
-        } else {
-            eq_add_row_sse2(ids, valid, e, acc)
-        }
-    }
-
-    /// # Safety
-    /// As [`eq_add_row`]; additionally requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn eq_add_row_avx2(ids: &[u64], valid: &[u64], e: u64, acc: &mut [u64]) {
-        let n = acc.len();
-        let ev = _mm256_set1_epi64x(e as i64);
-        let mut s = 0usize;
-        while s + 4 <= n {
-            let id = _mm256_loadu_si256(ids.as_ptr().add(s).cast());
-            let vm = _mm256_loadu_si256(valid.as_ptr().add(s).cast());
-            // valid is 0/1 per entry, the compare mask is all-ones per
-            // match: AND yields exactly the per-sequence increment.
-            let hit = _mm256_and_si256(_mm256_cmpeq_epi64(id, ev), vm);
-            let a = _mm256_loadu_si256(acc.as_ptr().add(s).cast());
-            _mm256_storeu_si256(acc.as_mut_ptr().add(s).cast(), _mm256_add_epi64(a, hit));
-            s += 4;
-        }
-        tail(ids, valid, e, acc, s);
-    }
-
-    /// # Safety
-    /// As [`eq_add_row`] (SSE2 is the x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn eq_add_row_sse2(ids: &[u64], valid: &[u64], e: u64, acc: &mut [u64]) {
-        let n = acc.len();
-        let ev = _mm_set1_epi64x(e as i64);
-        let mut s = 0usize;
-        while s + 2 <= n {
-            let id = _mm_loadu_si128(ids.as_ptr().add(s).cast());
-            let vm = _mm_loadu_si128(valid.as_ptr().add(s).cast());
-            // No 64-bit equality below SSE4.1: compare 32-bit halves,
-            // then AND each half with its swapped partner.
-            let eq32 = _mm_cmpeq_epi32(id, ev);
-            let eq64 = _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0b1011_0001));
-            let hit = _mm_and_si128(eq64, vm);
-            let a = _mm_loadu_si128(acc.as_ptr().add(s).cast());
-            _mm_storeu_si128(acc.as_mut_ptr().add(s).cast(), _mm_add_epi64(a, hit));
-            s += 2;
-        }
-        tail(ids, valid, e, acc, s);
-    }
-
-    fn tail(ids: &[u64], valid: &[u64], e: u64, acc: &mut [u64], from: usize) {
-        for s in from..acc.len() {
-            acc[s] += u64::from(ids[s] == e) & valid[s];
-        }
     }
 }
 
@@ -313,32 +204,26 @@ impl SeqBlock {
 
     /// `counts[s] = |probe ∩ seq_s|` for every loaded sequence — the
     /// whole-block form of the scalar pairwise intersection scan.
-    pub fn overlap_counts(&self, probe: &IdSeq, backend: ScanBackend, counts: &mut Vec<u64>) {
+    pub fn overlap_counts(&self, probe: &IdSeq, counts: &mut Vec<u64>) {
         counts.clear();
         counts.resize(self.count, 0);
         for &e in probe.as_slice() {
-            self.sweep(e, backend, counts);
+            self.sweep(e, counts);
         }
     }
 
     /// `row[s] = 1` iff sequence `s` contains `id` (0 otherwise) — the
     /// whole-block form of [`IdSeq::contains`].
-    pub fn contains_row(&self, id: NodeId, backend: ScanBackend, row: &mut Vec<u64>) {
+    pub fn contains_row(&self, id: NodeId, row: &mut Vec<u64>) {
         row.clear();
         row.resize(self.count, 0);
-        self.sweep(id, backend, row);
-    }
-
-    /// True when any loaded sequence contains `id`; `row` is scratch.
-    pub fn contains_any(&self, id: NodeId, backend: ScanBackend, row: &mut Vec<u64>) -> bool {
-        self.contains_row(id, backend, row);
-        row.iter().any(|&r| r != 0)
+        self.sweep(id, row);
     }
 
     /// `flags[s] = 1` iff `probe` and sequence `s` are disjoint — the
     /// whole-block form of [`IdSeq::disjoint_with`].
-    pub fn pairwise_disjoint(&self, probe: &IdSeq, backend: ScanBackend, flags: &mut Vec<u64>) {
-        self.overlap_counts(probe, backend, flags);
+    pub fn pairwise_disjoint(&self, probe: &IdSeq, flags: &mut Vec<u64>) {
+        self.overlap_counts(probe, flags);
         for f in flags.iter_mut() {
             *f = u64::from(*f == 0);
         }
@@ -352,12 +237,11 @@ impl SeqBlock {
         &self,
         probe: &IdSeq,
         extra: NodeId,
-        backend: ScanBackend,
         marks: &mut Vec<u64>,
         out: &mut Vec<u64>,
     ) {
-        self.overlap_counts(probe, backend, out);
-        self.contains_row(extra, backend, marks);
+        self.overlap_counts(probe, out);
+        self.contains_row(extra, marks);
         let extra_in_probe = u64::from(probe.contains(extra));
         for s in 0..self.count {
             out[s] = probe.len() as u64 + u64::from(self.lens[s]) - out[s]
@@ -367,15 +251,10 @@ impl SeqBlock {
 
     /// One ID's equality sweep over every populated lane.
     #[inline]
-    fn sweep(&self, e: NodeId, backend: ScanBackend, acc: &mut [u64]) {
-        // Row-level calls always run a kernel: a `Hybrid` caller that
-        // reached the block already decided the block is worth packing.
-        let backend =
-            if backend == ScanBackend::Hybrid { ScanBackend::best_kernel() } else { backend };
+    fn sweep(&self, e: NodeId, acc: &mut [u64]) {
         for l in 0..self.max_len {
             let base = l * self.stride;
             eq_add_row(
-                backend,
                 &self.ids[base..base + self.count],
                 &self.valid[base..base + self.count],
                 e,
@@ -385,8 +264,8 @@ impl SeqBlock {
     }
 }
 
-/// The recyclable buffers of the scanned Phase-2 hot paths: the packed
-/// block plus the count/mark/hit rows the kernels write. One per node
+/// The recyclable buffers of the scanned decide path: the packed block
+/// plus the count/mark rows the kernels write. One per node
 /// program, threaded through the tester's scratch pool so batch runs
 /// reuse it across jobs.
 #[derive(Debug, Default)]
@@ -394,8 +273,6 @@ pub struct ScanScratch {
     pub(crate) block: SeqBlock,
     pub(crate) counts: Vec<u64>,
     pub(crate) marks: Vec<u64>,
-    pub(crate) hits: Vec<u64>,
-    pub(crate) row: Vec<u64>,
     pub(crate) wits: Vec<RejectWitness>,
 }
 
@@ -427,8 +304,7 @@ pub fn decide_all_rejects_scanned(
     out: &mut Vec<RejectWitness>,
 ) {
     out.clear();
-    let backend = backend.for_block(received.len());
-    if backend == ScanBackend::Scalar {
+    if backend.for_block(received.len()) == ScanBackend::Scalar {
         out.extend(decide_all_rejects(k, myid, own_sent, received));
         return;
     }
@@ -436,14 +312,14 @@ pub fn decide_all_rejects_scanned(
     let half = k / 2;
     let ScanScratch { block, counts, marks, .. } = scratch;
     block.load(received);
-    block.contains_row(myid, backend, marks);
+    block.contains_row(myid, marks);
     if k % 2 == 1 {
         // Both sequences received, length ⌊k/2⌋ each.
         for (i, l1) in received.iter().enumerate() {
             if l1.len() != half {
                 continue;
             }
-            block.overlap_counts(l1, backend, counts);
+            block.overlap_counts(l1, counts);
             for (j, l2) in received.iter().enumerate().skip(i + 1) {
                 if l2.len() != half {
                     continue;
@@ -461,7 +337,7 @@ pub fn decide_all_rejects_scanned(
                 continue;
             }
             debug_assert_eq!(l1.last(), Some(myid), "own sequences end with myid");
-            block.overlap_counts(l1, backend, counts);
+            block.overlap_counts(l1, counts);
             let myid_in_l1 = u64::from(l1.contains(myid));
             for (j, l2) in received.iter().enumerate() {
                 if l2.len() != half {
@@ -503,26 +379,8 @@ mod tests {
         IdSeq::from_slice(ids)
     }
 
-    /// Backends whose kernels actually run in this build.
-    fn kernel_backends() -> Vec<ScanBackend> {
-        let mut v = vec![ScanBackend::Lanes];
-        if ScanBackend::simd_compiled() {
-            v.push(ScanBackend::Simd);
-        }
-        v
-    }
-
     #[test]
     fn backend_resolution() {
-        assert_eq!(ScanBackend::Scalar.resolve(), ScanBackend::Scalar);
-        assert_eq!(ScanBackend::Lanes.resolve(), ScanBackend::Lanes);
-        if ScanBackend::simd_compiled() {
-            assert_eq!(ScanBackend::Simd.resolve(), ScanBackend::Simd);
-            assert_eq!(ScanBackend::best_kernel(), ScanBackend::Simd);
-        } else {
-            assert_eq!(ScanBackend::Simd.resolve(), ScanBackend::Lanes);
-            assert_eq!(ScanBackend::best_kernel(), ScanBackend::Lanes);
-        }
         if cfg!(feature = "block-scan") {
             assert_eq!(ScanBackend::auto(), ScanBackend::Hybrid);
         } else {
@@ -532,10 +390,16 @@ mod tests {
         // Size dispatch: hybrid goes scalar under the break-even bound,
         // kernel at and above it; forced backends ignore the size.
         assert_eq!(ScanBackend::Hybrid.for_block(KERNEL_MIN_SEQS - 1), ScanBackend::Scalar);
-        assert_eq!(ScanBackend::Hybrid.for_block(KERNEL_MIN_SEQS), ScanBackend::best_kernel());
+        assert_eq!(ScanBackend::Hybrid.for_block(KERNEL_MIN_SEQS), ScanBackend::Lanes);
         assert_eq!(ScanBackend::Lanes.for_block(0), ScanBackend::Lanes);
-        assert_eq!(ScanBackend::Simd.for_block(0), ScanBackend::Simd.resolve());
         assert_eq!(ScanBackend::Scalar.for_block(1 << 20), ScanBackend::Scalar);
+    }
+
+    /// True when any loaded sequence contains `id`.
+    fn contains_any(block: &SeqBlock, id: u64) -> bool {
+        let mut row = Vec::new();
+        block.contains_row(id, &mut row);
+        row.iter().any(|&r| r != 0)
     }
 
     #[test]
@@ -547,38 +411,32 @@ mod tests {
         assert_eq!(block.len(), 5);
         assert_eq!(block.seq_len(3), 4);
         let (mut counts, mut marks, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        for backend in kernel_backends() {
-            for probe in &probes {
-                block.overlap_counts(probe, backend, &mut counts);
+        for probe in &probes {
+            block.overlap_counts(probe, &mut counts);
+            for (s, q) in seqs.iter().enumerate() {
+                let expect = probe.iter().filter(|&e| q.contains(e)).count() as u64;
+                assert_eq!(counts[s], expect, "overlap s={s} probe={probe:?}");
+            }
+            block.pairwise_disjoint(probe, &mut counts);
+            for (s, q) in seqs.iter().enumerate() {
+                assert_eq!(counts[s] == 1, probe.disjoint_with(q), "disjoint");
+            }
+            for extra in [0u64, 3, 7, 42] {
+                block.union_size_with(probe, extra, &mut marks, &mut out);
                 for (s, q) in seqs.iter().enumerate() {
-                    let expect = probe.iter().filter(|&e| q.contains(e)).count() as u64;
-                    assert_eq!(counts[s], expect, "{backend:?} overlap s={s} probe={probe:?}");
-                }
-                block.pairwise_disjoint(probe, backend, &mut counts);
-                for (s, q) in seqs.iter().enumerate() {
-                    assert_eq!(counts[s] == 1, probe.disjoint_with(q), "{backend:?} disjoint");
-                }
-                for extra in [0u64, 3, 7, 42] {
-                    block.union_size_with(probe, extra, backend, &mut marks, &mut out);
-                    for (s, q) in seqs.iter().enumerate() {
-                        assert_eq!(
-                            out[s],
-                            probe.union_size_with(q, extra) as u64,
-                            "{backend:?} union s={s} probe={probe:?} extra={extra}"
-                        );
-                    }
+                    assert_eq!(
+                        out[s],
+                        probe.union_size_with(q, extra) as u64,
+                        "union s={s} probe={probe:?} extra={extra}"
+                    );
                 }
             }
-            for id in [0u64, 1, 5, 9, 100] {
-                let mut row = Vec::new();
-                block.contains_row(id, backend, &mut row);
-                for (s, q) in seqs.iter().enumerate() {
-                    assert_eq!(row[s] == 1, q.contains(id), "{backend:?} contains");
-                }
-                assert_eq!(
-                    block.contains_any(id, backend, &mut row),
-                    seqs.iter().any(|q| q.contains(id))
-                );
+        }
+        for id in [0u64, 1, 5, 9, 100] {
+            let mut row = Vec::new();
+            block.contains_row(id, &mut row);
+            for (s, q) in seqs.iter().enumerate() {
+                assert_eq!(row[s] == 1, q.contains(id), "contains");
             }
         }
     }
@@ -587,19 +445,18 @@ mod tests {
     fn block_reload_reuses_storage() {
         let mut block = SeqBlock::new();
         block.load(&[seq(&[1, 2]), seq(&[3, 4]), seq(&[5, 6])]);
-        let mut row = Vec::new();
-        assert!(block.contains_any(5, ScanBackend::Lanes, &mut row));
+        assert!(contains_any(&block, 5));
         // Shrinking reload: stale entries of the bigger load must not
         // leak into the sweeps.
         block.load(&[seq(&[9])]);
         assert_eq!(block.len(), 1);
-        assert!(!block.contains_any(5, ScanBackend::Lanes, &mut row));
-        assert!(block.contains_any(9, ScanBackend::Lanes, &mut row));
+        assert!(!contains_any(&block, 5));
+        assert!(contains_any(&block, 9));
         // Growing reload past the first stride.
         let many: Vec<IdSeq> = (0..37u64).map(|i| seq(&[i, i + 100])).collect();
         block.load(&many);
         let mut counts = Vec::new();
-        block.overlap_counts(&seq(&[5, 136]), ScanBackend::Lanes, &mut counts);
+        block.overlap_counts(&seq(&[5, 136]), &mut counts);
         for (s, q) in many.iter().enumerate() {
             let expect = u64::from(q.contains(5)) + u64::from(q.contains(136));
             assert_eq!(counts[s], expect);
@@ -608,7 +465,7 @@ mod tests {
 
     #[test]
     fn scanned_decide_matches_scalar_on_fixed_cases() {
-        // The decide.rs unit-test cases, replayed through every backend.
+        // The decide.rs unit-test cases, replayed through the kernels.
         let cases: Vec<(usize, u64, Vec<IdSeq>, Vec<IdSeq>)> = vec![
             (5, 50, vec![], vec![seq(&[10, 11]), seq(&[20, 21])]),
             (5, 50, vec![], vec![seq(&[10, 11]), seq(&[20, 11])]),
@@ -624,53 +481,13 @@ mod tests {
         let mut got = Vec::new();
         for (k, myid, own, recv) in &cases {
             let expect = decide_all_rejects(*k, *myid, own, recv);
-            for backend in kernel_backends() {
-                decide_all_rejects_scanned(backend, *k, *myid, own, recv, &mut scratch, &mut got);
-                assert_eq!(got, expect, "{backend:?} k={k} myid={myid}");
-                assert_eq!(
-                    decide_reject_scanned(backend, *k, *myid, own, recv, &mut scratch),
-                    decide_reject(*k, *myid, own, recv),
-                );
-            }
-        }
-    }
-
-    /// Both intrinsic widths against the portable sweep, on every
-    /// length class (vector body + scalar tail), including the
-    /// boundary IDs whose 32-bit halves collide — the case the SSE2
-    /// emulated 64-bit compare must get right.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[test]
-    fn intrinsic_rows_match_portable() {
-        let tricky: Vec<u64> = vec![
-            0,
-            1,
-            u64::MAX,
-            0xFFFF_FFFF_0000_0000,
-            0x0000_0000_FFFF_FFFF,
-            0xAAAA_AAAA_AAAA_AAAA,
-            7,
-            0xFFFF_FFFF_0000_0001,
-            1 << 32,
-            (1 << 32) | 1,
-        ];
-        for n in 0..=10usize {
-            let ids = &tricky[..n];
-            let valid: Vec<u64> = (0..n as u64).map(|i| i % 2).collect();
-            for &e in &tricky {
-                let mut portable = vec![3u64; n];
-                super::eq_add_row(ScanBackend::Lanes, ids, &valid, e, &mut portable);
-                let mut sse2 = vec![3u64; n];
-                // SAFETY: equal lengths; SSE2 is the x86-64 baseline.
-                unsafe { super::x86::eq_add_row_sse2(ids, &valid, e, &mut sse2) };
-                assert_eq!(sse2, portable, "sse2 n={n} e={e:#x}");
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    let mut avx2 = vec![3u64; n];
-                    // SAFETY: as above, plus the runtime AVX2 check.
-                    unsafe { super::x86::eq_add_row_avx2(ids, &valid, e, &mut avx2) };
-                    assert_eq!(avx2, portable, "avx2 n={n} e={e:#x}");
-                }
-            }
+            let lanes = ScanBackend::Lanes;
+            decide_all_rejects_scanned(lanes, *k, *myid, own, recv, &mut scratch, &mut got);
+            assert_eq!(got, expect, "k={k} myid={myid}");
+            assert_eq!(
+                decide_reject_scanned(lanes, *k, *myid, own, recv, &mut scratch),
+                decide_reject(*k, *myid, own, recv),
+            );
         }
     }
 

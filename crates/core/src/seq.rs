@@ -244,10 +244,10 @@ mod tests {
 
     /// The kernel forms of `contains`/`disjoint_with`/`union_size_with`
     /// at the same boundaries: full lanes, empty sequences, extras on
-    /// either side — every compiled backend against the scalar methods.
+    /// either side — the lane kernels against the scalar methods.
     #[test]
     fn full_capacity_sequences_kernel_forms() {
-        use crate::scan::{ScanBackend, SeqBlock};
+        use crate::scan::SeqBlock;
         let full_a = IdSeq::from_slice(&(0..MAX_SEQ_LEN as u64).collect::<Vec<_>>());
         let full_b =
             IdSeq::from_slice(&(MAX_SEQ_LEN as u64..2 * MAX_SEQ_LEN as u64).collect::<Vec<_>>());
@@ -257,33 +257,27 @@ mod tests {
             vec![full_a, full_b, IdSeq::empty(), IdSeq::single(7), IdSeq::from_slice(&overlap_ids)];
         let mut block = SeqBlock::new();
         block.load(&seqs);
-        let mut backends = vec![ScanBackend::Lanes];
-        if ScanBackend::simd_compiled() {
-            backends.push(ScanBackend::Simd);
-        }
         let (mut row, mut marks, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        for &backend in &backends {
-            for probe in &seqs {
-                block.pairwise_disjoint(probe, backend, &mut row);
+        for probe in &seqs {
+            block.pairwise_disjoint(probe, &mut row);
+            for (s, q) in seqs.iter().enumerate() {
+                assert_eq!(row[s] == 1, probe.disjoint_with(q));
+            }
+            for extra in [0u64, 7, MAX_SEQ_LEN as u64, 2 * MAX_SEQ_LEN as u64, 999] {
+                block.union_size_with(probe, extra, &mut marks, &mut out);
                 for (s, q) in seqs.iter().enumerate() {
-                    assert_eq!(row[s] == 1, probe.disjoint_with(q), "{backend:?}");
-                }
-                for extra in [0u64, 7, MAX_SEQ_LEN as u64, 2 * MAX_SEQ_LEN as u64, 999] {
-                    block.union_size_with(probe, extra, backend, &mut marks, &mut out);
-                    for (s, q) in seqs.iter().enumerate() {
-                        assert_eq!(
-                            out[s],
-                            probe.union_size_with(q, extra) as u64,
-                            "{backend:?} s={s} extra={extra}"
-                        );
-                    }
+                    assert_eq!(
+                        out[s],
+                        probe.union_size_with(q, extra) as u64,
+                        "s={s} extra={extra}"
+                    );
                 }
             }
-            for id in [0u64, 7, 15, 16, 100, 999] {
-                block.contains_row(id, backend, &mut row);
-                for (s, q) in seqs.iter().enumerate() {
-                    assert_eq!(row[s] == 1, q.contains(id), "{backend:?} id={id}");
-                }
+        }
+        for id in [0u64, 7, 15, 16, 100, 999] {
+            block.contains_row(id, &mut row);
+            for (s, q) in seqs.iter().enumerate() {
+                assert_eq!(row[s] == 1, q.contains(id), "id={id}");
             }
         }
     }

@@ -2,21 +2,15 @@
 //! [`TesterSession`] once — parameters validated at build time — and
 //! test graphs through it repeatedly.
 //!
-//! Four PRs of tester work grew three free-function entry points
-//! (`run_tester`, `run_tester_reusing`, `run_tester_batch`) whose
-//! signatures widened with every capability — caller-threaded
-//! [`ck_congest::engine::EngineWorkspace`]s,
-//! [`TesterScratch`] pools, batch option structs. A `TesterSession`
-//! folds them into one builder over [`TesterConfig`] with validated
-//! setters (`k ∈ 3..=MAX_K`, `ε ∈ (0, 1)` via
-//! [`crate::rank::try_repetitions_for`]), owning the engine workspace
-//! and scratch pool so the fast path — arena, slot-array, and per-node
-//! buffer reuse across runs — is the default rather than an expert
-//! opt-in.
+//! A `TesterSession` is one builder over [`TesterConfig`] with
+//! validated setters (`k ∈ 3..=MAX_K`, `ε ∈ (0, 1)` via
+//! [`crate::rank::try_repetitions_for`]). It owns the
+//! [`ck_congest::engine::EngineWorkspace`] and the [`TesterScratch`]
+//! pool, so the fast path — arena, slot-array, and per-node buffer
+//! reuse across runs — is the default rather than an expert opt-in.
 //!
-//! Outputs are bit-identical to the legacy entry points by the
-//! engine's reuse contracts — property-tested in
-//! `tests/session_parity.rs`.
+//! A reused session is bit-identical to a fresh one by the engine's
+//! reuse contracts — property-tested in `tests/session_parity.rs`.
 
 use crate::batch::{batch_exec, BatchError, BatchJob};
 use crate::msg::CkMsg;

@@ -14,7 +14,7 @@
 
 use crate::decide::RejectWitness;
 use crate::msg::{SeqBundle, SeqPool};
-use crate::prune::{build_send_set_scanned, PrunerKind, SendSetScratch};
+use crate::prune::{build_send_set_into, PrunerKind, SendSetScratch};
 use crate::scan::{decide_all_rejects_scanned, ScanBackend, ScanScratch};
 use crate::seq::{IdSeq, MAX_K};
 use ck_congest::engine::{EngineConfig, EngineError, RunOutcome};
@@ -46,7 +46,7 @@ pub struct DetectSingle {
     u_id: NodeId,
     v_id: NodeId,
     pruner: PrunerKind,
-    /// Resolved collision-scan backend for prune/decide.
+    /// Collision-scan backend of the decide round.
     scan_backend: ScanBackend,
     /// Sequences broadcast at the last send round (consulted for even k).
     own_sent: Vec<IdSeq>,
@@ -90,7 +90,7 @@ impl DetectSingle {
             u_id: edge_ids.0,
             v_id: edge_ids.1,
             pruner,
-            scan_backend: scan.resolve(),
+            scan_backend: scan,
             own_sent: Vec::new(),
             verdict: SingleVerdict::default(),
             recv: Vec::new(),
@@ -150,15 +150,13 @@ impl Program for DetectSingle {
             // Paper round t = round + 1: prune and forward, entirely
             // within recycled buffers.
             self.collect(inbox);
-            build_send_set_scanned(
+            build_send_set_into(
                 self.pruner,
-                self.scan_backend,
                 &self.recv,
                 self.myid,
                 self.k,
                 round as usize + 1,
                 &mut self.scratch,
-                &mut self.scan,
                 &mut self.send_buf,
             );
             if !self.send_buf.is_empty() {
@@ -391,12 +389,7 @@ mod tests {
                     (out.reject, v, out.outcome.report.per_round.clone())
                 };
                 let mut outs = Vec::new();
-                for scan in [
-                    ScanBackend::Scalar,
-                    ScanBackend::Lanes,
-                    ScanBackend::Simd,
-                    ScanBackend::Hybrid,
-                ] {
+                for scan in [ScanBackend::Scalar, ScanBackend::Lanes, ScanBackend::Hybrid] {
                     let cfg =
                         EngineConfig { max_rounds: (k / 2) as u32 + 1, ..EngineConfig::default() };
                     let outcome = Session::builder(&g)

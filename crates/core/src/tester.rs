@@ -19,7 +19,7 @@
 
 use crate::decide::RejectWitness;
 use crate::msg::{CkMsg, EdgeTag, SeqPool};
-use crate::prune::{build_send_set_scanned, PrunerKind, SendSetScratch};
+use crate::prune::{build_send_set_into, PrunerKind, SendSetScratch};
 use crate::rank::{draw_rank, repetitions_for, rounds_per_repetition, total_rounds, RankStream};
 use crate::scan::{decide_reject_scanned, ScanBackend, ScanScratch};
 use crate::seq::{IdSeq, MAX_K};
@@ -82,7 +82,7 @@ pub struct TesterConfig {
     pub repetitions: Option<u32>,
     /// Pruning implementation (identical semantics; see `prune`).
     pub pruner: PrunerKind,
-    /// Collision-scan backend for the Phase-2 hot paths (identical
+    /// Collision-scan backend for the Phase-2 decide round (identical
     /// results on every backend; see `scan`). Defaults to the best the
     /// build provides.
     pub scan: ScanBackend,
@@ -358,8 +358,7 @@ pub struct CkTesterCore<'g, B> {
     /// ownerless stream would never be drawn from.
     owns_edges: bool,
     pruner: PrunerKind,
-    /// Resolved collision-scan backend (never `Simd` without the
-    /// intrinsics compiled).
+    /// Collision-scan backend of the decide round.
     scan_backend: ScanBackend,
     early_abort: bool,
     /// Early-abort: an abort flag was seen or originated.
@@ -396,7 +395,7 @@ impl<'g, B: TesterBufs> CkTesterCore<'g, B> {
             ranks: RankStream::new(cfg.seed, init.id),
             owns_edges: init.neighbor_ids.iter().any(|&nb| init.id < nb),
             pruner: cfg.pruner,
-            scan_backend: cfg.scan.resolve(),
+            scan_backend: cfg.scan,
             early_abort: cfg.early_abort,
             aborting: false,
             abort_forwarded: false,
@@ -594,15 +593,13 @@ impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
             // Paper round t = local: prioritized prune-and-forward,
             // entirely within recycled buffers.
             absorb(&mut self.cur, tags, locs, recv, &inbox);
-            build_send_set_scanned(
+            build_send_set_into(
                 self.pruner,
-                self.scan_backend,
                 recv,
                 self.myid,
                 self.k,
                 local as usize,
                 prune,
-                scan,
                 send_buf,
             );
             if !send_buf.is_empty() {
@@ -703,8 +700,8 @@ impl TesterRun {
 
 /// The tester engine proper: one full run through a caller-owned
 /// engine workspace and tester-scratch pool. This is the single
-/// implementation behind [`crate::session::TesterSession`], the batch
-/// runner's per-shard hot path, and the deprecated free functions.
+/// implementation behind [`crate::session::TesterSession`] and the
+/// batch runner's per-shard hot path.
 /// Arenas, wire-load rows, slot arrays, and per-node tester buffers are
 /// recycled from the previous run instead of reallocated; the output is
 /// bit-identical to a fresh-state run (a reset workspace and a cleared
@@ -902,50 +899,6 @@ fn witness_is_valid(g: &Graph, k: usize, r: &Rejection) -> bool {
     })
 }
 
-/// Runs the full tester on `g`.
-///
-/// # Panics
-/// Panics on an out-of-range `cfg` (use
-/// [`crate::session::TesterSession`] for a [`ConfigError`] instead).
-/// Validation is strict since the session redesign: `eps` must lie in
-/// `(0, 1)` even when a `repetitions` override means the schedule
-/// never reads it — previously such configs ran, now they are rejected
-/// up front like every other out-of-domain parameter.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `ck_core::session::TesterSession` — validated config, workspace and \
-            scratch reuse by default"
-)]
-pub fn run_tester(
-    g: &Graph,
-    cfg: &TesterConfig,
-    engine: &EngineConfig,
-) -> Result<TesterRun, EngineError> {
-    crate::session::TesterSession::from_config(*cfg, engine.clone())
-        // ck-lint: allow(no-panic, reason = "deprecated shim preserving the legacy API's historical panic-on-bad-config behavior")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .test(g)
-}
-
-/// As [`run_tester`], executing through a caller-owned engine workspace
-/// and tester-scratch pool. A [`crate::session::TesterSession`] owns
-/// both and recycles them on every `test`, making the explicit
-/// threading unnecessary.
-#[deprecated(
-    since = "0.2.0",
-    note = "a `ck_core::session::TesterSession` owns and recycles the workspace and scratch; \
-            use `TesterSession::test`"
-)]
-pub fn run_tester_reusing(
-    g: &Graph,
-    cfg: &TesterConfig,
-    engine: &EngineConfig,
-    ws: &mut ck_congest::engine::EngineWorkspace<CkMsg>,
-    scratch: &mut TesterScratch,
-) -> Result<TesterRun, EngineError> {
-    tester_exec(g, cfg, engine, ws, scratch)
-}
-
 /// One-call convenience: tests `Ck`-freeness of `g` at parameter `eps`.
 ///
 /// # Panics
@@ -968,8 +921,7 @@ mod tests {
     use ck_congest::engine::Executor;
     use ck_graphgen::basic::{complete_bipartite, cycle, petersen};
 
-    /// The tests' single-run entry: a fresh session per call (shadows
-    /// the deprecated free function the glob import would bind).
+    /// The tests' single-run entry: a fresh session per call.
     fn run_tester(
         g: &Graph,
         cfg: &TesterConfig,
@@ -1191,8 +1143,7 @@ mod tests {
 
     /// Every collision-scan backend must produce bit-identical full
     /// runs — verdicts, witnesses, and wire statistics — on odd and
-    /// even k (the two decision shapes), the `Simd` request resolving
-    /// to the portable kernels when not compiled.
+    /// even k (the two decision shapes).
     #[test]
     fn scan_backends_agree_on_full_tester() {
         for k in [4usize, 5] {
@@ -1206,9 +1157,7 @@ mod tests {
                 )
             };
             let mut runs = Vec::new();
-            for scan in
-                [ScanBackend::Scalar, ScanBackend::Lanes, ScanBackend::Simd, ScanBackend::Hybrid]
-            {
+            for scan in [ScanBackend::Scalar, ScanBackend::Lanes, ScanBackend::Hybrid] {
                 let cfg =
                     TesterConfig { repetitions: Some(2), scan, ..TesterConfig::new(k, 0.05, 7) };
                 let run = run_tester(&inst.graph, &cfg, &EngineConfig::default()).unwrap();

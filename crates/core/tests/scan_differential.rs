@@ -1,17 +1,15 @@
 //! Differential property suite for the collision-scan kernels: the
 //! scalar Phase-2 reference paths and the `SeqBlock` batch kernels
 //! must be extensionally identical on random inputs — same reject
-//! decisions, same witnesses in the same order, same pruned send sets,
-//! same row values — for every backend this build compiles.
+//! decisions, same witnesses in the same order, same row values — for
+//! every backend.
 //!
 //! CI runs this suite explicitly in every feature-matrix leg
-//! (`--no-default-features`, default, `--features simd`): the backends
-//! are forced per property, so the scalar and kernel paths can never
-//! drift apart unnoticed regardless of which one a leg dispatches to
-//! by default.
+//! (`--no-default-features` and default): the backends are forced per
+//! property, so the scalar and kernel paths can never drift apart
+//! unnoticed regardless of which one a leg dispatches to by default.
 
 use ck_core::decide::{decide_all_rejects, decide_reject};
-use ck_core::prune::{build_send_set, build_send_set_scanned, PrunerKind, SendSetScratch};
 use ck_core::scan::{
     decide_all_rejects_scanned, decide_reject_scanned, ScanBackend, ScanScratch, SeqBlock,
 };
@@ -19,11 +17,9 @@ use ck_core::seq::{IdSeq, MAX_SEQ_LEN};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Every backend, compiled or not: an uncompiled `Simd` must *resolve*
-/// to the portable kernels and still agree, and `Hybrid`'s size
-/// dispatch must be invisible in the outputs.
-const BACKENDS: [ScanBackend; 4] =
-    [ScanBackend::Scalar, ScanBackend::Lanes, ScanBackend::Simd, ScanBackend::Hybrid];
+/// Every backend: `Hybrid`'s size dispatch must be invisible in the
+/// outputs.
+const BACKENDS: [ScanBackend; 3] = [ScanBackend::Scalar, ScanBackend::Lanes, ScanBackend::Hybrid];
 
 /// Cycle lengths exercised by the decide differential: the small range
 /// the protocols live in, plus the `MAX_K` boundary (full 16-ID lanes).
@@ -109,30 +105,11 @@ fn arb_decide_case() -> impl Strategy<Value = (usize, u64, Vec<IdSeq>, Vec<IdSeq
         })
 }
 
-/// A random prune-round input: `k`, `t` in the legal window, sequences
-/// of exactly `t − 1` IDs, and the executing node's ID.
-fn arb_prune_case() -> impl Strategy<Value = (usize, usize, u64, Vec<IdSeq>)> {
-    (4usize..=12)
-        .prop_flat_map(|k| {
-            (Just(k), 2usize..=(k / 2).max(2)).prop_flat_map(|(k, t)| {
-                let universe = 3 * t as u64 + 4;
-                (Just(k), Just(t), 0u64..universe, vec(vec(0u64..universe, t + 3), 0..10))
-            })
-        })
-        .prop_map(|(k, t, myid, raws)| {
-            let seqs: Vec<IdSeq> = raws
-                .iter()
-                .filter_map(|ids| distinct_prefix(ids, t - 1).map(|d| IdSeq::from_slice(&d)))
-                .collect();
-            (k, t, myid, seqs)
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// The row kernels against the scalar `IdSeq` methods, element by
-    /// element, for every compiled backend.
+    /// element.
     #[test]
     fn kernel_rows_match_scalar_ops(
         seqs in arb_seq_set(),
@@ -152,32 +129,22 @@ proptest! {
         let mut block = SeqBlock::new();
         block.load(&seqs);
         let (mut row, mut marks, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        for backend in [ScanBackend::Lanes, ScanBackend::Simd] {
-            block.contains_row(id, backend, &mut row);
-            for (s, q) in seqs.iter().enumerate() {
-                prop_assert_eq!(row[s] == 1, q.contains(id), "contains {:?} s={}", backend, s);
-            }
-            prop_assert_eq!(
-                block.contains_any(id, backend, &mut row),
-                seqs.iter().any(|q| q.contains(id))
-            );
-            block.overlap_counts(&probe, backend, &mut row);
-            for (s, q) in seqs.iter().enumerate() {
-                let expect = probe.iter().filter(|&e| q.contains(e)).count() as u64;
-                prop_assert_eq!(row[s], expect, "overlap {:?} s={}", backend, s);
-            }
-            block.pairwise_disjoint(&probe, backend, &mut row);
-            for (s, q) in seqs.iter().enumerate() {
-                prop_assert_eq!(row[s] == 1, probe.disjoint_with(q), "disjoint {:?} s={}", backend, s);
-            }
-            block.union_size_with(&probe, extra, backend, &mut marks, &mut out);
-            for (s, q) in seqs.iter().enumerate() {
-                prop_assert_eq!(
-                    out[s],
-                    probe.union_size_with(q, extra) as u64,
-                    "union {:?} s={}", backend, s
-                );
-            }
+        block.contains_row(id, &mut row);
+        for (s, q) in seqs.iter().enumerate() {
+            prop_assert_eq!(row[s] == 1, q.contains(id), "contains s={}", s);
+        }
+        block.overlap_counts(&probe, &mut row);
+        for (s, q) in seqs.iter().enumerate() {
+            let expect = probe.iter().filter(|&e| q.contains(e)).count() as u64;
+            prop_assert_eq!(row[s], expect, "overlap s={}", s);
+        }
+        block.pairwise_disjoint(&probe, &mut row);
+        for (s, q) in seqs.iter().enumerate() {
+            prop_assert_eq!(row[s] == 1, probe.disjoint_with(q), "disjoint s={}", s);
+        }
+        block.union_size_with(&probe, extra, &mut marks, &mut out);
+        for (s, q) in seqs.iter().enumerate() {
+            prop_assert_eq!(out[s], probe.union_size_with(q, extra) as u64, "union s={}", s);
         }
     }
 
@@ -199,27 +166,6 @@ proptest! {
                 decide_reject_scanned(backend, k, myid, &own, &received, &mut scratch),
                 decide_reject(k, myid, &own, &received),
                 "first witness {:?}", backend
-            );
-        }
-    }
-
-    /// Scalar representative pruning ≡ the scanned pruner (maintained
-    /// hit rows) — same accepted sequences, same appended output.
-    #[test]
-    fn prune_scanned_matches_scalar((k, t, myid, seqs) in arb_prune_case()) {
-        let expect = build_send_set(PrunerKind::Representative, &seqs, myid, k, t);
-        let mut scratch = SendSetScratch::default();
-        let mut scan = ScanScratch::new();
-        let mut got = Vec::new();
-        for backend in BACKENDS {
-            build_send_set_scanned(
-                PrunerKind::Representative, backend,
-                &seqs, myid, k, t,
-                &mut scratch, &mut scan, &mut got,
-            );
-            prop_assert_eq!(
-                &got, &expect,
-                "{:?} k={} t={} myid={} seqs={:?}", backend, k, t, myid, &seqs
             );
         }
     }
