@@ -48,9 +48,10 @@
 //! reference tolerates duplicates; the differential suite therefore
 //! generates duplicate-free inputs, matching the protocol contract.
 
-use crate::decide::{decide_all_rejects, RejectWitness};
+use crate::decide::RejectWitness;
 use crate::seq::IdSeq;
 use ck_congest::graph::NodeId;
+use std::ops::ControlFlow;
 
 /// Smallest candidate-set size at which the decide kernels pay for
 /// their block packing: below this the scalar loops' early exits beat
@@ -273,7 +274,6 @@ pub struct ScanScratch {
     pub(crate) block: SeqBlock,
     pub(crate) counts: Vec<u64>,
     pub(crate) marks: Vec<u64>,
-    pub(crate) wits: Vec<RejectWitness>,
 }
 
 impl ScanScratch {
@@ -283,17 +283,19 @@ impl ScanScratch {
     }
 }
 
-/// The batch-scan form of [`decide_all_rejects`]: identical witnesses
-/// in identical order, but every candidate pair is resolved from one
-/// overlap row per probe sequence plus a single `myid` containment row
-/// over the whole block, instead of per-pair scalar union scans.
+/// The batch-scan form of [`crate::decide::decide_all_rejects`]:
+/// identical witnesses in identical order, but every candidate pair is
+/// resolved from one overlap row per probe sequence plus a single
+/// `myid` containment row over the whole block, instead of per-pair
+/// scalar union scans. Always enumerates every witness (for
+/// [`crate::single::DetectSingle`] and the ablation probes).
 ///
 /// `received` sequences must be duplicate-free (protocol invariant;
 /// see the module docs). With `backend` resolving to
 /// [`ScanBackend::Scalar`] — which [`ScanBackend::Hybrid`] does for
 /// blocks under [`KERNEL_MIN_SEQS`] sequences, where the scalar
-/// early exits beat the packing cost — this delegates to the scalar
-/// reference.
+/// early exits beat the packing cost — each pair runs the scalar
+/// [`IdSeq::union_size_with`] and no block is packed.
 pub fn decide_all_rejects_scanned(
     backend: ScanBackend,
     k: usize,
@@ -304,57 +306,16 @@ pub fn decide_all_rejects_scanned(
     out: &mut Vec<RejectWitness>,
 ) {
     out.clear();
-    if backend.for_block(received.len()) == ScanBackend::Scalar {
-        out.extend(decide_all_rejects(k, myid, own_sent, received));
-        return;
-    }
-    assert!(k >= 3);
-    let half = k / 2;
-    let ScanScratch { block, counts, marks, .. } = scratch;
-    block.load(received);
-    block.contains_row(myid, marks);
-    if k % 2 == 1 {
-        // Both sequences received, length ⌊k/2⌋ each.
-        for (i, l1) in received.iter().enumerate() {
-            if l1.len() != half {
-                continue;
-            }
-            block.overlap_counts(l1, counts);
-            for (j, l2) in received.iter().enumerate().skip(i + 1) {
-                if l2.len() != half {
-                    continue;
-                }
-                let union = (2 * half) as u64 - counts[j] + ((1 - marks[i]) & (1 - marks[j]));
-                if union == k as u64 {
-                    out.push(RejectWitness { l1: *l1, l2: *l2, myid, k });
-                }
-            }
-        }
-    } else {
-        // Exactly one sequence from own S (contains myid), one received.
-        for l1 in own_sent {
-            if l1.len() != half {
-                continue;
-            }
-            debug_assert_eq!(l1.last(), Some(myid), "own sequences end with myid");
-            block.overlap_counts(l1, counts);
-            let myid_in_l1 = u64::from(l1.contains(myid));
-            for (j, l2) in received.iter().enumerate() {
-                if l2.len() != half {
-                    continue;
-                }
-                let union = (2 * half) as u64 - counts[j] + ((1 - myid_in_l1) & (1 - marks[j]));
-                if union == k as u64 {
-                    out.push(RejectWitness { l1: *l1, l2: *l2, myid, k });
-                }
-            }
-        }
-    }
+    visit_rejects_scanned(backend, k, myid, own_sent, received, scratch, &mut |w| {
+        out.push(w);
+        ControlFlow::Continue(())
+    });
 }
 
 /// First-witness form of [`decide_all_rejects_scanned`] — the batch-scan
-/// counterpart of [`crate::decide::decide_reject`], allocation-free in
-/// steady state (the witness buffer lives in the scratch).
+/// counterpart of [`crate::decide::decide_reject`]. Stops at the first
+/// witness on every backend and allocates nothing in steady state (the
+/// kernel rows live in the scratch; the scalar arm needs none).
 pub fn decide_reject_scanned(
     backend: ScanBackend,
     k: usize,
@@ -363,17 +324,71 @@ pub fn decide_reject_scanned(
     received: &[IdSeq],
     scratch: &mut ScanScratch,
 ) -> Option<RejectWitness> {
-    let mut wits = std::mem::take(&mut scratch.wits);
-    decide_all_rejects_scanned(backend, k, myid, own_sent, received, scratch, &mut wits);
-    let first = wits.drain(..).next();
-    scratch.wits = wits;
+    let mut first = None;
+    visit_rejects_scanned(backend, k, myid, own_sent, received, scratch, &mut |w| {
+        first = Some(w);
+        ControlFlow::Break(())
+    });
     first
+}
+
+/// The enumeration behind both scanned decide forms: hands every
+/// witnessing pair to `visit`, in the scalar reference's order, until
+/// `visit` breaks. Where `backend` resolves to [`ScanBackend::Scalar`]
+/// each pair's union is [`IdSeq::union_size_with`]; otherwise it comes
+/// from the block's overlap row for the probe and its `myid` row.
+fn visit_rejects_scanned(
+    backend: ScanBackend,
+    k: usize,
+    myid: NodeId,
+    own_sent: &[IdSeq],
+    received: &[IdSeq],
+    scratch: &mut ScanScratch,
+    visit: &mut impl FnMut(RejectWitness) -> ControlFlow<()>,
+) {
+    assert!(k >= 3);
+    let half = k / 2;
+    let kernel = backend.for_block(received.len()) != ScanBackend::Scalar;
+    let ScanScratch { block, counts, marks } = scratch;
+    if kernel {
+        block.load(received);
+        block.contains_row(myid, marks);
+    }
+    // Odd k pairs two received sequences (length ⌊k/2⌋ each); even k
+    // pairs one of the node's own final sends (ending in `myid`) with a
+    // received one.
+    let odd = k % 2 == 1;
+    let probes = if odd { received } else { own_sent };
+    for (i, l1) in probes.iter().enumerate() {
+        if l1.len() != half {
+            continue;
+        }
+        debug_assert!(odd || l1.last() == Some(myid), "own sequences end with myid");
+        let mut l1_free = 0;
+        if kernel {
+            block.overlap_counts(l1, counts);
+            l1_free = 1 - if odd { marks[i] } else { u64::from(l1.contains(myid)) };
+        }
+        for (j, l2) in received.iter().enumerate().skip(if odd { i + 1 } else { 0 }) {
+            if l2.len() != half {
+                continue;
+            }
+            let union = if kernel {
+                (2 * half) as u64 - counts[j] + (l1_free & (1 - marks[j]))
+            } else {
+                l1.union_size_with(l2, myid) as u64
+            };
+            if union == k as u64 && visit(RejectWitness { l1: *l1, l2: *l2, myid, k }).is_break() {
+                return;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decide::decide_reject;
+    use crate::decide::{decide_all_rejects, decide_reject};
 
     fn seq(ids: &[u64]) -> IdSeq {
         IdSeq::from_slice(ids)
@@ -491,6 +506,7 @@ mod tests {
         }
     }
 
+    /// The scalar backend's enumeration reproduces the reference's.
     #[test]
     fn scalar_backend_delegates_to_reference() {
         let recv = vec![seq(&[10, 11]), seq(&[20, 21])];
@@ -498,5 +514,43 @@ mod tests {
         let mut got = Vec::new();
         decide_all_rejects_scanned(ScanBackend::Scalar, 5, 50, &[], &recv, &mut scratch, &mut got);
         assert_eq!(got, decide_all_rejects(5, 50, &[], &recv));
+    }
+
+    /// Received sets with many witnessing pairs, one below and one above
+    /// [`KERNEL_MIN_SEQS`] for each of odd and even k: the first-witness
+    /// form stops early on every backend and must still return the
+    /// reference's first witness. Non-witnesses (wrong length, `myid`
+    /// inside, overlaps) are interleaved so the first witness is not
+    /// simply the first pair.
+    #[test]
+    fn first_witness_matches_reference_on_multi_witness_sets() {
+        let myid = 50;
+        // Length-2 paths, as received at round ⌊k/2⌋ for k ∈ {4, 5}.
+        let recv = |n: u64| -> Vec<IdSeq> {
+            let mut v = vec![seq(&[1]), seq(&[myid, 2]), seq(&[3, 4, 5])];
+            v.extend((0..n).map(|i| seq(&[100 + 10 * i, 101 + 10 * i])));
+            v.push(seq(&[100, 999]));
+            v
+        };
+        let own = vec![seq(&[7, myid]), seq(&[100, myid]), seq(&[8, myid])];
+        let mut cases: Vec<(usize, Vec<IdSeq>, Vec<IdSeq>)> = Vec::new();
+        for n in [3u64, 2 * KERNEL_MIN_SEQS as u64] {
+            cases.push((5, vec![], recv(n)));
+            cases.push((4, own.clone(), recv(n)));
+        }
+        let mut scratch = ScanScratch::new();
+        for (k, own, received) in &cases {
+            let all = decide_all_rejects(*k, myid, own, received);
+            assert!(all.len() > 1, "k={k}: want several witnesses, got {}", all.len());
+            let below = received.len() < KERNEL_MIN_SEQS;
+            for backend in [ScanBackend::Scalar, ScanBackend::Lanes, ScanBackend::Hybrid] {
+                let first = decide_reject_scanned(backend, *k, myid, own, received, &mut scratch);
+                assert_eq!(first.as_ref(), all.first(), "k={k} below={below} {backend:?}");
+                assert_eq!(first, decide_reject(*k, myid, own, received));
+            }
+        }
+        // The two sizes straddle the hybrid dispatch bound.
+        assert!(cases.iter().any(|c| c.2.len() < KERNEL_MIN_SEQS));
+        assert!(cases.iter().any(|c| c.2.len() >= KERNEL_MIN_SEQS));
     }
 }

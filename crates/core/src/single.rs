@@ -48,12 +48,12 @@ pub struct DetectSingle {
     pruner: PrunerKind,
     /// Collision-scan backend of the decide round.
     scan_backend: ScanBackend,
-    /// Sequences broadcast at the last send round (consulted for even k).
-    own_sent: Vec<IdSeq>,
     verdict: SingleVerdict,
     /// Recycled receive buffer (collect output).
     recv: Vec<IdSeq>,
-    /// Recycled send-set buffer.
+    /// Recycled send-set buffer, rebuilt every forward round: the
+    /// decision round reads the last send round's set from it in place
+    /// (consulted for even k).
     send_buf: Vec<IdSeq>,
     /// Pruner workspace.
     scratch: SendSetScratch,
@@ -91,7 +91,6 @@ impl DetectSingle {
             v_id: edge_ids.1,
             pruner,
             scan_backend: scan,
-            own_sent: Vec::new(),
             verdict: SingleVerdict::default(),
             recv: Vec::new(),
             send_buf: Vec::new(),
@@ -134,11 +133,6 @@ impl Program for DetectSingle {
             // Paper round 1: the endpoints seed their own ID.
             if self.myid == self.u_id || self.myid == self.v_id {
                 let seed = IdSeq::single(self.myid);
-                if self.half_k == 1 {
-                    // k ∈ {3}: the seed round is also the last send round.
-                    self.own_sent.clear();
-                    self.own_sent.push(seed);
-                }
                 self.verdict.max_sent_seqs = 1;
                 let bundle = self.pool.bundle_from(&[seed]);
                 let evicted = out.broadcast(bundle);
@@ -161,15 +155,9 @@ impl Program for DetectSingle {
             );
             if !self.send_buf.is_empty() {
                 self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(self.send_buf.len());
-                self.own_sent.clear();
-                self.own_sent.extend_from_slice(&self.send_buf);
                 let bundle = self.pool.bundle_from(&self.send_buf);
                 let evicted = out.broadcast(bundle);
                 self.recycle(evicted);
-            } else if round + 1 == self.half_k {
-                // Nothing to contribute at the final send round: stale
-                // own_sent from earlier rounds must not enter the decision.
-                self.own_sent.clear();
             }
             return Status::Running;
         }
@@ -180,7 +168,7 @@ impl Program for DetectSingle {
             self.scan_backend,
             self.k,
             self.myid,
-            &self.own_sent,
+            &self.send_buf,
             &self.recv,
             &mut self.scan,
             &mut all,

@@ -20,7 +20,7 @@
 //! * **node-major (header array)** — buffers whose per-node size is
 //!   dynamic (Lemma 3 bounds send sets by `(k-t+1)^{t-1}`, astronomically
 //!   large near `MAX_K`, so static slabs are ruled out): the
-//!   `recv`/`own_sent`/`send_buf` sequence sets keep their demand-grown
+//!   `recv`/`send_buf` sequence sets keep their demand-grown
 //!   `Vec` backings, but the *headers* live contiguously in one arena
 //!   array, as do the per-node payload pools (whose `outstanding`
 //!   accounting is per-node state in the verdict).
@@ -77,9 +77,8 @@ pub struct SoaArena {
     tag_locs: Vec<BundleLoc>,
     /// Deduplicated received sequences (node-major headers).
     recv: Vec<Vec<IdSeq>>,
-    /// Last sent sequences, kept for the decision round (node-major).
-    own_sent: Vec<Vec<IdSeq>>,
-    /// Send set under construction (node-major headers).
+    /// Send sets, rebuilt every forward round and read in place by the
+    /// decision round (node-major headers).
     send_buf: Vec<Vec<IdSeq>>,
     /// Per-node payload pools (outstanding accounting is per-node).
     pools: Vec<SeqPool>,
@@ -90,7 +89,7 @@ pub struct SoaArena {
     /// The executor partition's chunk length this arena was prepared for.
     chunk_len: usize,
     /// The base-pointer table, refreshed by [`SoaArena::bases`]; views
-    /// hold one pointer to this field instead of an 88-byte copy each,
+    /// hold one pointer to this field instead of an 80-byte copy each,
     /// keeping the engine's per-node slots small.
     bases: SoaBases,
 }
@@ -123,12 +122,10 @@ impl SoaArena {
         self.tag_locs.clear();
         self.tag_locs.resize(lanes, BundleLoc::NULL);
         self.recv.resize_with(n, Vec::new);
-        self.own_sent.resize_with(n, Vec::new);
         self.send_buf.resize_with(n, Vec::new);
         self.pools.resize_with(n, SeqPool::default);
         for v in 0..n {
             self.recv[v].clear();
-            self.own_sent[v].clear();
             self.send_buf[v].clear();
             self.pools[v].reset_accounting();
         }
@@ -151,7 +148,6 @@ impl SoaArena {
             tag_tags: self.tag_tags.as_mut_ptr(),
             tag_locs: self.tag_locs.as_mut_ptr(),
             recv: self.recv.as_mut_ptr(),
-            own_sent: self.own_sent.as_mut_ptr(),
             send_buf: self.send_buf.as_mut_ptr(),
             pools: self.pools.as_mut_ptr(),
             chunk_prune: self.chunk_prune.as_mut_ptr(),
@@ -174,7 +170,6 @@ pub(crate) struct SoaBases {
     tag_tags: *mut EdgeTag,
     tag_locs: *mut BundleLoc,
     recv: *mut Vec<IdSeq>,
-    own_sent: *mut Vec<IdSeq>,
     send_buf: *mut Vec<IdSeq>,
     pools: *mut SeqPool,
     chunk_prune: *mut SendSetScratch,
@@ -197,7 +192,6 @@ impl Default for SoaBases {
             tag_tags: std::ptr::null_mut(),
             tag_locs: std::ptr::null_mut(),
             recv: std::ptr::null_mut(),
-            own_sent: std::ptr::null_mut(),
             send_buf: std::ptr::null_mut(),
             pools: std::ptr::null_mut(),
             chunk_prune: std::ptr::null_mut(),
@@ -297,7 +291,6 @@ impl SoaView {
                 tags: std::slice::from_raw_parts_mut(b.tag_tags.add(off), deg),
                 locs: std::slice::from_raw_parts_mut(b.tag_locs.add(off), deg),
                 recv: &mut *b.recv.add(node),
-                own_sent: &mut *b.own_sent.add(node),
                 send_buf: &mut *b.send_buf.add(node),
                 pool: &mut *b.pools.add(node),
                 prune: &mut *b.chunk_prune.add(chunk),

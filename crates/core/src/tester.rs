@@ -8,7 +8,7 @@
 //! | 0 | each edge's owner (smaller-ID endpoint) draws `r(e) ∈ [1, m²]` and ships it |
 //! | 1 | every node adopts its min-key incident edge and broadcasts its seed `(myid)` tagged with that edge (paper round 1) |
 //! | `t = 2..⌊k/2⌋` | prioritized append-and-forward: keep only traffic of the lowest-keyed edge seen, prune via Algorithm 1, forward (paper round `t`) |
-//! | `⌊k/2⌋ + 1` | final decision (Instructions 31–42) |
+//! | `⌊k/2⌋ + 1` | final decision (Instructions 31–42); a node that has already rejected skips it |
 //!
 //! Arbitration follows the paper: a node serves one edge at a time —
 //! the lowest `(rank, endpoints)` key it has ever heard of — discarding
@@ -217,7 +217,7 @@ pub struct NodeVerdict {
 pub struct NodeScratch {
     /// Phase-1 rank per port (`0` = unknown; ranks are ≥ 1).
     port_rank: Vec<u64>,
-    own_sent: Vec<IdSeq>,
+    /// Deduplicated sequences of the served edge (absorb output).
     recv: Vec<IdSeq>,
     /// Absorb's one-pass tag/payload-location lanes, sized to the
     /// degree (at most one Phase-2 message per port per round). The raw
@@ -225,6 +225,7 @@ pub struct NodeScratch {
     /// never stored across rounds, only the capacity is.
     tag_tags: Vec<EdgeTag>,
     tag_locs: Vec<BundleLoc>,
+    /// The send set, rebuilt every forward round; see [`BufsRef`].
     send_buf: Vec<IdSeq>,
     prune: SendSetScratch,
     scan: ScanScratch,
@@ -281,9 +282,9 @@ pub(crate) struct BufsRef<'a> {
     pub(crate) locs: &'a mut [BundleLoc],
     /// Deduplicated sequences of the served edge (absorb output).
     pub(crate) recv: &'a mut Vec<IdSeq>,
-    /// Last sent sequences, kept for the decision round.
-    pub(crate) own_sent: &'a mut Vec<IdSeq>,
-    /// The send set under construction.
+    /// The send set, cleared and rebuilt by every forward round and
+    /// written nowhere else: at the decision round it still holds the
+    /// round-`⌊k/2⌋` send set, which the even-`k` decision reads in place.
     pub(crate) send_buf: &'a mut Vec<IdSeq>,
     /// Recycling pool for outgoing bundle backings.
     pub(crate) pool: &'a mut SeqPool,
@@ -312,7 +313,6 @@ impl TesterBufs for NodeScratch {
             tags: &mut self.tag_tags,
             locs: &mut self.tag_locs,
             recv: &mut self.recv,
-            own_sent: &mut self.own_sent,
             send_buf: &mut self.send_buf,
             pool: &mut self.pool,
             prune: &mut self.prune,
@@ -367,6 +367,9 @@ pub struct CkTesterCore<'g, B> {
     abort_forwarded: bool,
     // Per-repetition state.
     cur: Option<EdgeTag>,
+    /// The tag `send_buf` was last sent under. The decision reads
+    /// `send_buf` as the node's own sequences only while this equals
+    /// `cur`: a lower tag adopted at the decision round voids them.
     own_sent_tag: Option<EdgeTag>,
     verdict: NodeVerdict,
     bufs: B,
@@ -425,7 +428,6 @@ impl<'g> CkTester<'g> {
         scratch.tag_tags.resize(deg, TAG_FILL);
         scratch.tag_locs.clear();
         scratch.tag_locs.resize(deg, BundleLoc::NULL);
-        scratch.own_sent.clear();
         scratch.recv.clear();
         scratch.send_buf.clear();
         scratch.pool.reset_accounting();
@@ -504,8 +506,7 @@ impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
     type Verdict = NodeVerdict;
 
     fn step(&mut self, round: u32, inbox: Inbox<'_, CkMsg>, out: &mut Outbox<CkMsg>) -> Status {
-        let BufsRef { ports, tags, locs, recv, own_sent, send_buf, pool, prune, scan } =
-            self.bufs.bufs();
+        let BufsRef { ports, tags, locs, recv, send_buf, pool, prune, scan } = self.bufs.bufs();
 
         // Early-abort extension: adopt an incoming flag, forward it once,
         // halt the round after (the normal protocol below never runs
@@ -534,7 +535,6 @@ impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
             // never drawn from, so the skip is unobservable.
             ports.fill(0);
             self.cur = None;
-            own_sent.clear();
             self.own_sent_tag = None;
             if self.owns_edges {
                 let mut rng = self.ranks.rng(rep);
@@ -575,12 +575,6 @@ impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
             if let Some(tag) = best {
                 self.cur = Some(tag);
                 let seed = IdSeq::single(self.myid);
-                if self.half_k == 1 {
-                    // k = 3: the seed round is the last send round.
-                    own_sent.clear();
-                    own_sent.push(seed);
-                    self.own_sent_tag = Some(tag);
-                }
                 self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(1);
                 let bundle = pool.bundle_from(&[seed]);
                 let evicted = out.broadcast(CkMsg::Seqs { tag, seqs: bundle });
@@ -604,28 +598,28 @@ impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
             );
             if !send_buf.is_empty() {
                 self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(send_buf.len());
-                own_sent.clear();
-                own_sent.extend_from_slice(send_buf);
                 self.own_sent_tag = self.cur;
                 // ck-lint: allow(no-panic, reason = "send_buf is only filled while a served repetition is in flight, which sets cur")
                 let tag = self.cur.expect("cur set when R nonempty");
                 let bundle = pool.bundle_from(send_buf);
                 let evicted = out.broadcast(CkMsg::Seqs { tag, seqs: bundle });
                 recycle(pool, evicted);
-            } else if local == self.half_k {
-                // Nothing contributed at the final send round: stale own
-                // sequences must not feed the even-k decision.
-                own_sent.clear();
-                self.own_sent_tag = None;
             }
             return Status::Running;
         }
 
         // local == half_k + 1: decision round (Instructions 31–42).
-        absorb(&mut self.cur, tags, locs, recv, &inbox);
-        let own: &[IdSeq] =
-            if self.own_sent_tag == self.cur && self.cur.is_some() { own_sent } else { &[] };
+        // A node that has already rejected skips it. Its output is the OR
+        // over repetitions and `verdict` keeps only the first rejection,
+        // so no later decision can change it; `cur` is reset at local
+        // round 0 and nothing is sent here, so skipping the absorb and
+        // the scan is unobservable. The forward rounds above still run:
+        // other nodes' checks depend on the sequences this node relays.
         if !self.verdict.rejected {
+            absorb(&mut self.cur, tags, locs, recv, &inbox);
+            // The last forward round left its send set in `send_buf`.
+            let own: &[IdSeq] =
+                if self.own_sent_tag == self.cur && self.cur.is_some() { send_buf } else { &[] };
             if let Some(w) =
                 decide_reject_scanned(self.scan_backend, self.k, self.myid, own, recv, scan)
             {
