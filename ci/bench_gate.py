@@ -4,9 +4,8 @@
 Two checks, run by the `bench-gate` CI job:
 
 1. The committed full record (`BENCH_engine.json`) must parse as bench
-   schema v8 — the ckserve probe-service revision — with the
-   forced-worker thread axis present, its sequential/parallel
-   bit-identity flags set, the serve block's closed-loop client rows
+   schema v8 — the ckserve probe-service revision — with its soa
+   bit-identity flag set, the serve block's closed-loop client rows
    present (verdicts bit-identical to direct sessions, p50/p99 job
    latency recorded per row), and its own recorded acceptance gates
    passing. The full record is regenerated only on real bench runs;
@@ -53,7 +52,6 @@ FLOORS = {
     # n = 1e5) is enforced by the record's own acceptance gates.
     "soa_over_boxed": 1.1,
 }
-THREAD_AXIS = [1, 2, 4, 8]
 
 
 def ratios(record):
@@ -107,10 +105,7 @@ def check_full(full):
     acc = full["acceptance"]
     assert acc["pass"] is True, "committed bench record fails its own acceptance gate"
     soa = full["soa"]
-    assert soa["thread_axis"] == THREAD_AXIS, soa["thread_axis"]
     assert soa["bit_identical"] is True, "committed soa rows not verdict-identical"
-    workers = {e["workers"] for e in soa["entries"]}
-    assert set(THREAD_AXIS) | {0} <= workers, f"threads axis rows missing: {workers}"
     assert acc["soa_pass"] is True, "committed soa rows fail their gate"
     gates = acc["soa_gates"]
     floor = gates["required_soa_over_boxed"]
@@ -157,8 +152,8 @@ def main():
         sys.exit(1)
     print(
         f"bench-gate: {len(now)} same-run ratios above their family floors; "
-        "committed full record is schema v8 with the threads axis and the "
-        "serve block, and passes its gates"
+        "committed full record is schema v8 with the serve block, and "
+        "passes its gates"
     )
 
 

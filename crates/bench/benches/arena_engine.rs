@@ -93,8 +93,8 @@ fn bench_gnp(c: &mut Criterion) {
 }
 
 /// The paper's full Ck tester at k = 5 (heavy pooled `SeqBundle`
-/// broadcasts through the clone-free slot path), arena vs legacy and
-/// sequential vs parallel, in both accounting modes.
+/// broadcasts through the clone-free slot path), arena vs legacy, in
+/// both accounting modes.
 fn bench_ck5_tester(c: &mut Criterion) {
     let n = 4000;
     let host = random_tree(n, 7);
@@ -117,13 +117,6 @@ fn bench_ck5_tester(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("arena-seq", mode), |b| {
             let cfg = cfg(Executor::Sequential);
-            b.iter(|| {
-                let out = run(&inst.graph, &cfg, |i| CkTester::new(&tcfg, &i)).unwrap();
-                black_box(out.verdicts.len())
-            });
-        });
-        group.bench_function(BenchmarkId::new("arena-par", mode), |b| {
-            let cfg = cfg(Executor::Parallel);
             b.iter(|| {
                 let out = run(&inst.graph, &cfg, |i| CkTester::new(&tcfg, &i)).unwrap();
                 black_box(out.verdicts.len())

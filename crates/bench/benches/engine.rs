@@ -1,7 +1,7 @@
 //! Raw simulator throughput: node-steps per second on structured and
-//! random topologies, sequential vs rayon-parallel executors.
+//! random topologies.
 
-use ck_congest::engine::{EngineConfig, Executor};
+use ck_congest::engine::EngineConfig;
 use ck_congest::node::{Inbox, Outbox, Program, Status};
 use ck_congest::session::Session;
 use ck_graphgen::basic::torus;
@@ -55,23 +55,16 @@ impl Program for MinFlood {
     }
 }
 
-fn bench_executors(c: &mut Criterion) {
+fn bench_torus(c: &mut Criterion) {
     let g = torus(40, 40); // 1600 nodes, diameter 40
-    for exec in [Executor::Sequential, Executor::Parallel] {
-        let name = format!("engine/minflood-torus40/{exec:?}");
-        c.bench_function(&name, |b| {
-            b.iter(|| {
-                let cfg = EngineConfig {
-                    executor: exec,
-                    record_rounds: false,
-                    ..EngineConfig::default()
-                };
-                let out = run(&g, &cfg, |init| MinFlood { best: init.id, ttl: 80, changed: false })
-                    .unwrap();
-                black_box(out.verdicts[0])
-            });
+    c.bench_function("engine/minflood-torus40/Sequential", |b| {
+        b.iter(|| {
+            let cfg = EngineConfig { record_rounds: false, ..EngineConfig::default() };
+            let out =
+                run(&g, &cfg, |init| MinFlood { best: init.id, ttl: 80, changed: false }).unwrap();
+            black_box(out.verdicts[0])
         });
-    }
+    });
 }
 
 fn bench_density(c: &mut Criterion) {
@@ -90,5 +83,5 @@ fn bench_density(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_executors, bench_density);
+criterion_group!(benches, bench_torus, bench_density);
 criterion_main!(benches);

@@ -18,12 +18,9 @@
 //!
 //! Each workload is timed in two modes — `fast` (`record_rounds: false`,
 //! the counter-free delivery path) and `accounted` (`record_rounds:
-//! true`, fused wire accounting) — and, for the arena engine, under both
-//! executors; every entry records its `executor` and `threads` honestly.
-//! Before timing, each configuration's verdicts are checked identical
-//! across the two engines, and the arena engine's sequential and
-//! parallel outputs are asserted **bit-identical** (verdicts and, in
-//! accounted mode, the full per-round statistics).
+//! true`, fused wire accounting); every entry records its `executor` and
+//! `threads`. Before timing, each configuration's verdicts are checked
+//! identical across the two engines.
 //!
 //! The `acceptance` block gates on the same-run arena-over-legacy
 //! ratio of every accounted tester case at the largest `n` (the only
@@ -102,7 +99,6 @@ impl Engine {
 fn exec_name(e: Executor) -> &'static str {
     match e {
         Executor::Sequential => "sequential",
-        Executor::Parallel => "parallel",
         Executor::Distributed { .. } => "distributed",
     }
 }
@@ -110,7 +106,6 @@ fn exec_name(e: Executor) -> &'static str {
 fn exec_threads(e: Executor) -> usize {
     match e {
         Executor::Sequential => 1,
-        Executor::Parallel => rayon::current_num_threads(),
         Executor::Distributed { workers } => workers.max(1) as usize,
     }
 }
@@ -135,13 +130,9 @@ struct Measurement {
 const MODES: [(&str, bool); 2] = [("fast", false), ("accounted", true)];
 
 /// Engine/executor combinations measured per workload: the legacy
-/// baseline (sequential), the arena engine on the same executor, and
-/// the arena engine under the parallel executor.
-const COMBOS: [(Engine, Executor); 3] = [
-    (Engine::Legacy, Executor::Sequential),
-    (Engine::Arena, Executor::Sequential),
-    (Engine::Arena, Executor::Parallel),
-];
+/// baseline and the arena engine, both sequential.
+const COMBOS: [(Engine, Executor); 2] =
+    [(Engine::Legacy, Executor::Sequential), (Engine::Arena, Executor::Sequential)];
 
 #[derive(Clone, Copy)]
 struct Budget {
@@ -224,21 +215,6 @@ fn tester_outcome(
 
 fn engine_config(record: bool, executor: Executor) -> EngineConfig {
     EngineConfig { executor, record_rounds: record, ..EngineConfig::default() }
-}
-
-/// Asserts the arena engine's two executors produce bit-identical
-/// outputs on this configuration (verdict projection + full per-round
-/// statistics when recorded), and returns the sequential outcome.
-fn assert_seq_par_identical<V: PartialEq + std::fmt::Debug>(
-    label: &str,
-    mut run_with: impl FnMut(Executor) -> RunOutcome<V>,
-) -> RunOutcome<V> {
-    let seq = run_with(Executor::Sequential);
-    let par = run_with(Executor::Parallel);
-    assert_eq!(seq.verdicts, par.verdicts, "seq/par verdicts diverge: {label}");
-    assert_eq!(seq.report.per_round, par.report.per_round, "seq/par stats diverge: {label}");
-    assert_eq!(seq.report.rounds, par.report.rounds, "seq/par rounds diverge: {label}");
-    seq
 }
 
 struct Workload {
@@ -658,18 +634,14 @@ fn robust_sweep(smoke: bool) -> RobustBlock {
     }
 }
 
-/// One row of the layout/threads sweep: one (layout, executor, forced
-/// worker count) configuration on an accounted tester workload.
+/// One row of the layout sweep: one node-state layout on an accounted
+/// tester workload.
 struct SoaRow {
     workload: &'static str,
     n: usize,
     /// `"boxed"` (per-node heap buffers, the reference layout) or
     /// `"soa"` (the arena layout, the default).
     layout: &'static str,
-    executor: &'static str,
-    /// Worker count the parallel shim was forced to (`CK_FORCED_WORKERS`
-    /// semantics); 0 = unforced sequential row.
-    workers: usize,
     rounds: u32,
     runs: u32,
     secs_per_run: f64,
@@ -685,20 +657,13 @@ struct SoaRow {
 /// instance is asserted rejected before any timing.
 const SOA_REPS: u32 = 1;
 
-/// The schema-v5 soa block: the SoA node-state arena vs the boxed
-/// reference layout on the accounted `Ck` testers, plus the threads
-/// axis — rounds/sec of the SoA parallel executor at forced worker
-/// counts {1, 2, 4, 8}. The timed unit is a cold session per run
-/// (layout setup included), matching every other tester row in the
-/// record, at a single repetition ([`SOA_REPS`]). Before any timing,
-/// the boxed sequential, SoA sequential, and SoA parallel outcomes are
-/// asserted bit-identical (verdicts and full per-round statistics) at
-/// every forced worker count.
-fn soa_sweep(
-    sizes: &[usize],
-    budget: &Budget,
-    thread_axis: &[usize],
-) -> (Vec<SoaRow>, Vec<(String, f64)>) {
+/// The soa block: the SoA node-state arena vs the boxed reference
+/// layout on the accounted `Ck` testers. The timed unit is a cold
+/// session per run (layout setup included), matching every other tester
+/// row in the record, at a single repetition ([`SOA_REPS`]). Before any
+/// timing, the two layouts' outcomes are asserted bit-identical
+/// (verdicts and full per-round statistics).
+fn soa_sweep(sizes: &[usize], budget: &Budget) -> (Vec<SoaRow>, Vec<(String, f64)>) {
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     for &n in sizes {
@@ -708,8 +673,8 @@ fn soa_sweep(
             let tcfg =
                 TesterConfig { repetitions: Some(SOA_REPS), ..TesterConfig::new(k, 0.1, 42) };
             let max_rounds = total_rounds(k, SOA_REPS);
-            let outcome_of = |layout: NodeLayout, executor: Executor| -> RunOutcome<NodeVerdict> {
-                let mut cfg = engine_config(true, executor);
+            let outcome_of = |layout: NodeLayout| -> RunOutcome<NodeVerdict> {
+                let mut cfg = engine_config(true, Executor::Sequential);
                 cfg.max_rounds = max_rounds;
                 let tcfg = TesterConfig { layout, ..tcfg };
                 TesterSession::from_config(tcfg, cfg)
@@ -718,93 +683,52 @@ fn soa_sweep(
                     .expect("measure policy cannot fail")
                     .outcome
             };
-            // Bit-identity across layouts, executors, and every forced
-            // worker count, before any timing.
-            let reference = outcome_of(NodeLayout::Boxed, Executor::Sequential);
+            // Bit-identity across layouts, before any timing.
+            let reference = outcome_of(NodeLayout::Boxed);
             assert!(
                 reference.verdicts.iter().any(|v| v.rejected),
                 "soa sweep instance not rejected: {name}/{n}"
             );
-            let check = |label: &str, got: &RunOutcome<NodeVerdict>| {
-                assert_eq!(
-                    reference.verdicts, got.verdicts,
-                    "verdicts diverge: {label} {name}/{n}"
-                );
-                assert_eq!(
-                    reference.report.per_round, got.report.per_round,
-                    "round stats diverge: {label} {name}/{n}"
-                );
-            };
-            check("soa/sequential", &outcome_of(NodeLayout::Soa, Executor::Sequential));
-            for &w in thread_axis {
-                rayon::force_workers_for_tests(w);
-                let got = outcome_of(NodeLayout::Soa, Executor::Parallel);
-                rayon::force_workers_for_tests(0);
-                check(&format!("soa/parallel/w={w}"), &got);
-            }
-            // Every row of this case — boxed/soa sequential (backing
-            // the gated soa-over-boxed ratio) and the full forced-
-            // worker threads axis (backing the monotone gate; forcing
-            // above the machine's cores measures oversubscription
-            // honestly, the `cores` field names the honest prefix) —
-            // is sampled round-robin in ONE shared window, so both
-            // gates consume drift-immune ratios: see
-            // `time_runs_min_interleaved`. Each parallel closure sets
-            // its forced worker count for exactly its own run (the run
-            // pins its partition at entry, so mid-window changes
-            // between runs are safe by the engine's contract).
-            let variants: Vec<(&'static str, &'static str, usize)> = {
-                let mut v = vec![("boxed", "sequential", 0usize), ("soa", "sequential", 0usize)];
-                v.extend(thread_axis.iter().map(|&w| ("soa", "parallel", w)));
-                v
-            };
+            let soa = outcome_of(NodeLayout::Soa);
+            assert_eq!(reference.verdicts, soa.verdicts, "verdicts diverge: {name}/{n}");
+            assert_eq!(
+                reference.report.per_round, soa.report.per_round,
+                "round stats diverge: {name}/{n}"
+            );
+            // Both layouts sampled round-robin in one shared window, so
+            // the gated soa-over-boxed ratio is drift-immune: see
+            // `time_runs_min_interleaved`.
+            let layouts = [("boxed", NodeLayout::Boxed), ("soa", NodeLayout::Soa)];
             let outcome_of = &outcome_of;
-            let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = variants
+            let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = layouts
                 .iter()
-                .map(|&(lname, ename, w)| {
-                    let b: Box<dyn FnMut() -> u32 + '_> = match (lname, ename) {
-                        ("boxed", _) => Box::new(move || {
-                            outcome_of(NodeLayout::Boxed, Executor::Sequential).report.rounds
-                        }),
-                        (_, "sequential") => Box::new(move || {
-                            outcome_of(NodeLayout::Soa, Executor::Sequential).report.rounds
-                        }),
-                        _ => Box::new(move || {
-                            rayon::force_workers_for_tests(w);
-                            let o = outcome_of(NodeLayout::Soa, Executor::Parallel);
-                            rayon::force_workers_for_tests(0);
-                            o.report.rounds
-                        }),
-                    };
+                .map(|&(_, layout)| {
+                    let b: Box<dyn FnMut() -> u32 + '_> =
+                        Box::new(move || outcome_of(layout).report.rounds);
                     b
                 })
                 .collect();
             let stats = time_runs_min_interleaved(budget, &mut closures);
             drop(closures);
-            let mut seq_rates = Vec::new();
-            for (&(lname, ename, w), &(runs, secs, rounds)) in variants.iter().zip(&stats) {
+            let mut rates = Vec::new();
+            for (&(lname, _), &(runs, secs, rounds)) in layouts.iter().zip(&stats) {
                 let rate = f64::from(rounds) / secs;
-                let wlabel = if ename == "parallel" { format!(" w={w}") } else { String::new() };
                 eprintln!(
-                    "{name} n={n} layout={lname} {ename}{wlabel} [accounted]: {secs:.4} s/run \
+                    "{name} n={n} layout={lname} [accounted]: {secs:.4} s/run \
                      (best of {runs} interleaved runs)"
                 );
-                if ename == "sequential" {
-                    seq_rates.push(rate);
-                }
+                rates.push(rate);
                 rows.push(SoaRow {
                     workload: name,
                     n,
                     layout: lname,
-                    executor: ename,
-                    workers: w,
                     rounds,
                     runs,
                     secs_per_run: secs,
                     rounds_per_sec: rate,
                 });
             }
-            ratios.push((format!("{name}/{n}/accounted"), seq_rates[1] / seq_rates[0]));
+            ratios.push((format!("{name}/{n}/accounted"), rates[1] / rates[0]));
         }
     }
     (rows, ratios)
@@ -1130,29 +1054,19 @@ fn main() {
     for &n in sizes {
         for w in workloads_for(n) {
             for (mode, record) in MODES {
-                // Cross-engine verdict check + arena seq-vs-par
-                // bit-identity, before any timing.
+                // Cross-engine verdict check, before any timing.
                 let label = format!("{}/{n}/{mode}", w.name);
                 match &w.tester {
                     None => {
-                        let arena = assert_seq_par_identical(&label, |exec| {
-                            minflood_outcome(&w.graph, Engine::Arena, &engine_config(record, exec))
-                        });
-                        let legacy = minflood_outcome(
-                            &w.graph,
-                            Engine::Legacy,
-                            &engine_config(record, Executor::Sequential),
-                        );
+                        let cfg = engine_config(record, Executor::Sequential);
+                        let arena = minflood_outcome(&w.graph, Engine::Arena, &cfg);
+                        let legacy = minflood_outcome(&w.graph, Engine::Legacy, &cfg);
                         assert_eq!(legacy.verdicts, arena.verdicts, "engines disagree: {label}");
                     }
                     Some(tcfg) => {
-                        let arena = assert_seq_par_identical(&label, |exec| {
-                            let mut cfg = engine_config(record, exec);
-                            cfg.max_rounds = w.max_rounds;
-                            tester_outcome(&w.graph, Engine::Arena, tcfg, &cfg)
-                        });
                         let mut cfg = engine_config(record, Executor::Sequential);
                         cfg.max_rounds = w.max_rounds;
+                        let arena = tester_outcome(&w.graph, Engine::Arena, tcfg, &cfg);
                         let legacy = tester_outcome(&w.graph, Engine::Legacy, tcfg, &cfg);
                         let flags = |o: &RunOutcome<NodeVerdict>| {
                             o.verdicts.iter().map(|v| v.rejected).collect::<Vec<_>>()
@@ -1166,7 +1080,7 @@ fn main() {
                         }
                     }
                 }
-                // All three combos sampled round-robin in one shared
+                // Both combos sampled round-robin in one shared
                 // window (the arena-over-legacy acceptance gate is a
                 // ratio of these rows): see `time_runs_min_interleaved`.
                 let graph = &w.graph;
@@ -1234,11 +1148,9 @@ fn main() {
     let scan_budget = if smoke { budget } else { Budget { measure_secs: 4.0, max_runs: 16 } };
     let (scan_rows, scan_ratios) = scan_sweep(scan_n, &scan_budget);
 
-    // ---- layout/threads sweep (schema v5) ----------------------------
-    // The SoA node-state arena vs the boxed reference layout, plus the
-    // threads axis at forced worker counts, bit-identity asserted
-    // inside at every point.
-    let thread_axis = [1usize, 2, 4, 8];
+    // ---- layout sweep (schema v5) ------------------------------------
+    // The SoA node-state arena vs the boxed reference layout,
+    // bit-identity asserted inside.
     let soa_sizes: &[usize] = if smoke { &[300] } else { &[100_000, 1_000_000] };
     // Wider sample budget than the engine rows: the soa rows back gated
     // best-of-N ratios, so more samples directly tighten the estimator
@@ -1252,7 +1164,7 @@ fn main() {
     } else {
         Budget { measure_secs: 10.0, max_runs: 24 }
     };
-    let (soa_rows, soa_ratios) = soa_sweep(soa_sizes, &soa_budget, &thread_axis);
+    let (soa_rows, soa_ratios) = soa_sweep(soa_sizes, &soa_budget);
 
     // ---- robustness sweep (schema v6 lineage) ------------------------
     // Loss/crash detection curves and the adaptive-vs-fixed schedule
@@ -1301,11 +1213,10 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"description\": \"Round-engine throughput, arena (zero-allocation double-buffered \
-         CSR lanes + clone-free broadcast slots + pooled tester payloads) vs legacy (per-round \
+         per-receiver inboxes + clone-free broadcast slots + pooled tester payloads) vs legacy (per-round \
          Vec allocation, clone-per-port broadcasts). Mode 'fast' = record_rounds off; mode \
          'accounted' = record_rounds on (fused wire accounting). Every entry records its \
-         executor and thread count; arena sequential/parallel outputs are asserted \
-         bit-identical before timing. acceptance gates on the same-run arena-over-legacy \
+         executor and thread count. acceptance gates on the same-run arena-over-legacy \
          ratio of the accounted tester cases at the largest n (immune to machine drift \
          between bench days); pr1_reference reports the absolute comparison against the \
          committed schema-v1 PR-1 record with the unchanged legacy engine as drift control, \
@@ -1334,20 +1245,16 @@ fn main() {
          worker abort mid-run must be detected within the round deadline and degrade to \
          the sequential oracle inside an explicit wall-clock budget, gated. v5 (the \
          schema id follows this workspace's revision series, not a monotone counter: \
-         v5 designates the SoA/threads revision and supersedes the v7-lineage records) \
+         v5 designates the SoA revision and supersedes the v7-lineage records) \
          adds the soa block: the SoA node-state arena (per-node tester scratch packed \
          into a few large buffers — lane-major CSR port streams, node-major sequence-set \
-         headers, chunk-shared prune/scan workspaces) vs the boxed reference layout on \
+         headers, one shared prune/scan workspace) vs the boxed reference layout on \
          the accounted testers, cold session per run at a single repetition (the two \
          layouts run the identical round schedule, so extra repetitions only dilute the \
          setup/teardown costs the cold unit measures; the planted instance is asserted \
          rejected first), best-of-N noise-floor timing per \
-         row, plus the threads axis: rounds/sec \
-         of the SoA parallel executor at forced worker counts {{1,2,4,8}} (the cores field \
-         names the honest prefix; counts past it measure oversubscription). Sequential \
-         and parallel outputs are asserted bit-identical at every worker count before \
-         timing. acceptance gates soa-over-boxed >= 1.2 on the accounted C4/C5 rows at \
-         n=1e5 and the parallel curve monotone non-decreasing over the honest prefix. \
+         row; the two layouts' outputs are asserted bit-identical before timing. \
+         acceptance gates soa-over-boxed >= 1.2 on the accounted C4/C5 rows at n=1e5. \
          v8 adds the serve block: the long-running ckserve probe service (one warm \
          TesterSession per worker thread, recycled arena-to-arena across jobs, ServeMsg \
          RPC over length-prefixed loopback-TCP frames) driven by closed-loop clients — \
@@ -1450,32 +1357,19 @@ fn main() {
     }
     json.push_str("    ]\n  },\n");
 
-    // The v5 soa block: node-state layouts and the threads axis.
+    // The v5 soa block: node-state layouts.
     let _ = writeln!(json, "  \"soa\": {{");
     let _ = writeln!(json, "    \"mode\": \"accounted\",");
     let _ = writeln!(json, "    \"repetitions\": {SOA_REPS},");
-    let _ = writeln!(
-        json,
-        "    \"thread_axis\": [{}],",
-        thread_axis.iter().map(|w| w.to_string()).collect::<Vec<_>>().join(", ")
-    );
     let _ = writeln!(json, "    \"bit_identical\": true,");
     json.push_str("    \"entries\": [\n");
     for (i, r) in soa_rows.iter().enumerate() {
         let _ = write!(
             json,
             "      {{\"workload\": \"{}\", \"n\": {}, \"layout\": \"{}\", \
-             \"executor\": \"{}\", \"workers\": {}, \"rounds\": {}, \"runs\": {}, \
-             \"secs_per_run\": {:.6}, \"rounds_per_sec\": {:.2}}}",
-            r.workload,
-            r.n,
-            r.layout,
-            r.executor,
-            r.workers,
-            r.rounds,
-            r.runs,
-            r.secs_per_run,
-            r.rounds_per_sec
+             \"rounds\": {}, \"runs\": {}, \"secs_per_run\": {:.6}, \
+             \"rounds_per_sec\": {:.2}}}",
+            r.workload, r.n, r.layout, r.rounds, r.runs, r.secs_per_run, r.rounds_per_sec
         );
         json.push_str(if i + 1 < soa_rows.len() { ",\n" } else { "\n" });
     }
@@ -1694,17 +1588,12 @@ fn main() {
         scan_pass = false;
     }
     all_pass &= scan_pass;
-    // SoA acceptance, two rules. (1) The arena layout must beat the
-    // boxed reference by >= 1.2x on the accounted C4/C5 tester rows at
-    // n = 1e5 under the sequential executor — the single-thread
+    // SoA acceptance: the arena layout must beat the boxed reference by
+    // >= 1.2x on the accounted C4/C5 tester rows at n = 1e5 — the
     // improvement the SoA refactor exists for (the n = 1e6 ratios are
     // reported ungated: at that scale the host's memory system, not
-    // the layout, is the variable under test). (2) The SoA parallel
-    // curve must be monotone non-decreasing, within noise, over the
-    // honest thread prefix (forced workers <= physical cores); counts
-    // past the prefix measure oversubscription and are never gated.
+    // the layout, is the variable under test).
     const REQUIRED_SOA_OVER_BOXED: f64 = 1.2;
-    const THREADS_MONOTONE_NOISE: f64 = 0.08;
     let mut soa_pass = true;
     let mut soa_cases = String::new();
     let mut soa_first = true;
@@ -1721,37 +1610,6 @@ fn main() {
             "      {{\"case\": \"{case}/soa-over-boxed\", \"soa_over_boxed\": {ratio:.3}, \
              \"gated\": {gated}, \"pass\": {pass}}}"
         );
-    }
-    for &n in soa_sizes {
-        for workload in ["c4-tester-planted", "ck5-tester-planted"] {
-            let honest: Vec<f64> = thread_axis
-                .iter()
-                .filter(|&&w| w <= cores)
-                .filter_map(|&w| {
-                    soa_rows
-                        .iter()
-                        .find(|r| {
-                            r.workload == workload
-                                && r.n == n
-                                && r.executor == "parallel"
-                                && r.workers == w
-                        })
-                        .map(|r| r.rounds_per_sec)
-                })
-                .collect();
-            let pass = honest.windows(2).all(|w| w[1] >= w[0] * (1.0 - THREADS_MONOTONE_NOISE));
-            soa_pass &= pass;
-            if !soa_first {
-                soa_cases.push_str(",\n");
-            }
-            soa_first = false;
-            let _ = write!(
-                soa_cases,
-                "      {{\"case\": \"{workload}/{n}/threads-monotone\", \
-                 \"honest_prefix_rps\": [{}], \"gated\": true, \"pass\": {pass}}}",
-                honest.iter().map(|r| format!("{r:.2}")).collect::<Vec<_>>().join(", ")
-            );
-        }
     }
     if soa_first {
         soa_pass = false;
@@ -1846,7 +1704,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"acceptance\": {{\n    \"required_arena_over_legacy\": {REQUIRED_SPEEDUP},\n    \
-         \"seq_par_bit_identical\": true,\n    \"cases\": [\n{cases}\n    ],\n    \
+         \"cases\": [\n{cases}\n    ],\n    \
          \"pr1_reference\": [\n{pr1}\n    ],\n    \
          \"pr1_absolute_speedup_met\": {pr1_absolute_met},\n    \
          \"required_batch_over_loop\": 1.0,\n    \"batch_cases\": [\n{batch_cases}\n    ],\n    \
@@ -1855,9 +1713,7 @@ fn main() {
          \"hybrid_floor_over_scalar\": {HYBRID_FLOOR}}},\n    \
          \"scan_cases\": [\n{scan_cases}\n    ],\n    \
          \"scan_pass\": {scan_pass},\n    \
-         \"soa_gates\": {{\"required_soa_over_boxed\": {REQUIRED_SOA_OVER_BOXED}, \
-         \"threads_monotone_noise\": {THREADS_MONOTONE_NOISE}, \
-         \"honest_thread_prefix\": \"workers <= cores\"}},\n    \
+         \"soa_gates\": {{\"required_soa_over_boxed\": {REQUIRED_SOA_OVER_BOXED}}},\n    \
          \"soa_cases\": [\n{soa_cases}\n    ],\n    \
          \"soa_pass\": {soa_pass},\n    \
          \"robust_gates\": {{\"loss_curve_noise\": {LOSS_CURVE_NOISE}, \
@@ -1889,7 +1745,6 @@ fn main() {
         "\"batch\"",
         "\"scan\"",
         "\"soa\"",
-        "\"thread_axis\"",
         "\"robust\"",
         "\"net\"",
         "\"serve\"",

@@ -26,7 +26,6 @@ use ck_congest::graph::{Graph, NodeIndex};
 use ck_congest::message::{WireMessage, WireParams};
 use ck_congest::metrics::{RoundStats, RunReport};
 use ck_congest::node::{InboxBuf, NodeInit, Outbox, Program, Status};
-use rayon::prelude::*;
 
 struct Slot<P: Program> {
     prog: P,
@@ -90,14 +89,10 @@ where
             s.inbox.clear();
             out.take_sends()
         };
-        let outboxes: Vec<Vec<(u32, P::Msg)>> = match config.executor {
-            // The legacy baseline has no transport layer; Distributed
-            // steps like the sequential oracle it is measured against.
-            Executor::Sequential | Executor::Distributed { .. } => {
-                slots.iter_mut().map(|s| step_one(s, round)).collect()
-            }
-            Executor::Parallel => slots.par_iter_mut().map(|s| step_one(s, round)).collect(),
-        };
+        // The legacy baseline has no transport layer; Distributed steps
+        // like the sequential oracle it is measured against.
+        let outboxes: Vec<Vec<(u32, P::Msg)>> =
+            slots.iter_mut().map(|s| step_one(s, round)).collect();
 
         // Accounting phase: per-port loads via linear find — O(ports²)
         // per node in the worst case.
@@ -170,15 +165,9 @@ where
     }
     report.rounds = round;
     report.all_halted = all_halted;
-    report.executor = match config.executor {
-        Executor::Sequential => "sequential",
-        Executor::Parallel => "parallel",
-        Executor::Distributed { .. } => "distributed",
-    };
-    report.threads = match config.executor {
-        Executor::Sequential => 1,
-        Executor::Parallel => rayon::current_num_threads(),
-        Executor::Distributed { workers } => workers.max(1) as usize,
+    (report.executor, report.threads) = match config.executor {
+        Executor::Sequential => ("sequential", 1),
+        Executor::Distributed { workers } => ("distributed", workers.max(1) as usize),
     };
 
     let verdicts = slots.iter().map(|s| s.prog.verdict()).collect();

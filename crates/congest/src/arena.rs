@@ -1,18 +1,17 @@
-//! Shared internals of the arena engine: per-directed-edge message
-//! lanes, the double-buffered lane arena, and the per-round accumulator
-//! the fused accounting feeds. Split out of `engine` so the node-side
-//! [`crate::node::Outbox`] can write straight into lanes without a
-//! module cycle.
+//! Shared internals of the round engine: the double-buffered
+//! per-receiver inboxes, the flat wire-load table, and the per-round
+//! accumulator the fused accounting feeds. Split out of `engine` so the
+//! node-side [`crate::node::Outbox`] can write straight into inboxes
+//! without a module cycle.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::graph::{DirectedEdgeId, NodeIndex};
 use crate::node::Packet;
 
 /// Per-directed-edge wire load for one round, kept in a flat
-/// [`LoadTable`] indexed by [`DirectedEdgeId`] (not inside the message
-/// lanes: the loads are round-scoped accounting state, the lanes are
+/// [`LoadTable`] indexed by [`DirectedEdgeId`] (not inside the inboxes:
+/// the loads are round-scoped accounting state, the inboxes are
 /// round-crossing transport).
 ///
 /// Loads are *round-stamped* instead of reset: a load whose `stamp`
@@ -48,10 +47,9 @@ impl Default for LinkLoad {
 
 /// The flat per-directed-edge load table the fused accounting writes.
 ///
-/// Disjointness mirrors the write side of [`Arena`]: directed edge
-/// `(v → w)` is loaded only by its unique sender `v`, so rows partition
-/// across nodes and the parallel executor's per-node step calls never
-/// touch the same entry.
+/// Directed edge `(v → w)` is loaded only by its unique sender `v`, so
+/// rows partition across nodes and one node's step never touches
+/// another's entries.
 pub(crate) struct LoadTable {
     cells: Vec<UnsafeCell<LinkLoad>>,
     /// Stamp-space base of the current run; every stamp this run
@@ -60,10 +58,6 @@ pub(crate) struct LoadTable {
     /// stamp can never equal a fresh run's.
     base: u64,
 }
-
-// SAFETY: entries are only reached through `LoadTable::row_ptr`, whose
-// callers guarantee sender-unique row access; `LinkLoad` is plain data.
-unsafe impl Sync for LoadTable {}
 
 impl LoadTable {
     /// An all-stale table of `len` loads (`len` = 0 for runs that never
@@ -93,8 +87,7 @@ impl LoadTable {
         self.base.wrapping_add(u64::from(round))
     }
 
-    /// Raw pointer to the load row starting at directed edge `de` — the
-    /// sender-side counterpart of [`Arena::row_ptr`].
+    /// Raw pointer to the load row starting at directed edge `de`.
     ///
     /// # Safety
     /// The caller must be the unique accessor of the row's entries while
@@ -108,166 +101,22 @@ impl LoadTable {
     }
 }
 
-/// One per-directed-edge message lane: the messages in flight across
-/// that edge, stored already labeled with their *receiver-side* port
-/// (one sequential `rev_port` lookup at send time), so a receiver's
-/// gather is a whole-`Vec` swap or bulk append — no per-message work.
-/// Broadcast traffic appears as [`Packet::Shared`] refs into the same
-/// generation's broadcast slots.
-pub(crate) type Lane<M> = Vec<Packet<M>>;
-
-/// A flat array of `2m` lanes keyed by [`DirectedEdgeId`], plus one
-/// broadcast slot per node.
-///
-/// Interior mutability with hand-verified disjointness: Rust's borrow
-/// checker cannot see that the engine's per-node access patterns
-/// partition the lanes, so the arena exposes unchecked exclusive access
-/// and the round loop upholds the contract documented on the accessors.
-pub(crate) struct Arena<M> {
-    lanes: Vec<UnsafeCell<Lane<M>>>,
-    /// Per-sender broadcast slots: slot `v` holds the payload of `v`'s
-    /// broadcast of this generation *once*; the lanes carry shared refs
-    /// into it. Written only by `v` during the write phase, read only
-    /// by `v`'s neighbors during the following read phase (when no slot
-    /// of this arena is written at all), overwritten by `v`'s next
-    /// same-parity broadcast — which is when the stale payload is
-    /// evicted back to `v` for recycling. Never scanned or cleared.
-    slots: Vec<UnsafeCell<Option<M>>>,
-    /// Per-receiver traffic hint: `dirty[w]` is set (relaxed) by the
-    /// first write into any lane `(· → w)` this round, and cleared by
-    /// `w` when it gathers. Lets receivers skip the whole lane scan on
-    /// silent rounds — an O(n) check instead of O(2m) lane visits. The
-    /// flag's value is independent of executor interleaving (it only
-    /// ever goes false→true during a write phase), so determinism is
-    /// preserved.
-    dirty: Vec<AtomicBool>,
-    /// Lane/slot extents the current (or last) run uses; `reset` only
-    /// cleans these prefixes.
-    used_lanes: usize,
-    used_nodes: usize,
-}
-
-// SAFETY: lanes are only accessed through `Arena::lane` / `Arena::row`,
-// whose callers guarantee disjointness (each lane touched by exactly one
-// node per phase); `M: Send` makes moving messages across the worker
-// threads sound, and `M: Sync` covers the concurrent shared reads of
-// broadcast slots by multiple receivers. No `&Lane` is ever handed out
-// while a `&mut Lane` exists.
-unsafe impl<M: Send + Sync> Sync for Arena<M> {}
-
-impl<M> Arena<M> {
-    pub(crate) fn new(directed_edges: usize, nodes: usize) -> Self {
-        Arena {
-            lanes: (0..directed_edges).map(|_| UnsafeCell::new(Lane::default())).collect(),
-            slots: (0..nodes).map(|_| UnsafeCell::new(None)).collect(),
-            dirty: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-            used_lanes: directed_edges,
-            used_nodes: nodes,
-        }
-    }
-
-    /// Prepares the arena for a run over `directed_edges` lanes and
-    /// `nodes` slots, reusing the previous run's allocations: lanes in
-    /// the previously used extent are cleared (capacity kept — the
-    /// whole point of batch reuse), stale broadcast payloads are
-    /// dropped, traffic hints are lowered, and the backing arrays grow
-    /// only when the new graph does not fit. `&mut self` proves
-    /// exclusivity, so no unsafe cell access is needed.
-    pub(crate) fn reset(&mut self, directed_edges: usize, nodes: usize) {
-        for lane in self.lanes.iter_mut().take(self.used_lanes) {
-            lane.get_mut().clear();
-        }
-        for slot in self.slots.iter_mut().take(self.used_nodes) {
-            *slot.get_mut() = None;
-        }
-        for flag in self.dirty.iter_mut().take(self.used_nodes) {
-            *flag.get_mut() = false;
-        }
-        if self.lanes.len() < directed_edges {
-            self.lanes.resize_with(directed_edges, || UnsafeCell::new(Lane::default()));
-        }
-        if self.slots.len() < nodes {
-            self.slots.resize_with(nodes, || UnsafeCell::new(None));
-        }
-        if self.dirty.len() < nodes {
-            self.dirty.resize_with(nodes, || AtomicBool::new(false));
-        }
-        self.used_lanes = directed_edges;
-        self.used_nodes = nodes;
-    }
-
-    /// True if any lane addressed to `v` was written last round.
-    #[inline]
-    pub(crate) fn is_dirty(&self, v: NodeIndex) -> bool {
-        self.dirty[v as usize].load(Ordering::Relaxed)
-    }
-
-    /// Clears `v`'s traffic hint (receiver-side, after gathering).
-    #[inline]
-    pub(crate) fn clear_dirty(&self, v: NodeIndex) {
-        self.dirty[v as usize].store(false, Ordering::Relaxed)
-    }
-
-    /// Base pointer of the dirty-flag array, for the sender-side outbox.
-    pub(crate) fn dirty_ptr(&self) -> *const AtomicBool {
-        self.dirty.as_ptr()
-    }
-
-    /// Type-erased base pointer of the broadcast-slot array
-    /// (`*mut Option<M>`), for the sender-side outbox. Access contract
-    /// as documented on the field: slot `v` is touched only by sender
-    /// `v`, and only while this arena is in the write role.
-    pub(crate) fn slots_ptr(&self) -> *mut () {
-        // UnsafeCell<T> is repr(transparent) over T.
-        self.slots.as_ptr() as *mut ()
-    }
-
-    /// Exclusive access to one lane.
-    ///
-    /// # Safety
-    /// The caller must guarantee no concurrent or overlapping access to
-    /// `de`. The round loop satisfies this by construction: in the write
-    /// phase a lane is touched only by its unique sender, in the drain
-    /// phase only by its unique receiver, and the two phases address
-    /// different arenas.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn lane(&self, de: DirectedEdgeId) -> &mut Lane<M> {
-        &mut *self.lanes[de as usize].get()
-    }
-
-    /// Raw base pointer of the contiguous lane row starting at `de` —
-    /// handed to a sender's direct-writing outbox for the duration of
-    /// one step call.
-    ///
-    /// # Safety
-    /// Same contract as [`Arena::lane`], for every lane of the row: the
-    /// caller must be the row's unique writer while the pointer lives.
-    pub(crate) unsafe fn row_ptr(&self, de: DirectedEdgeId) -> *mut Lane<M> {
-        // UnsafeCell<T> is repr(transparent) over T.
-        self.lanes.as_ptr().add(de as usize) as *mut Lane<M>
-    }
-
-    /// Takes the payload parked in sender `v`'s broadcast slot, if any.
-    /// `&mut self` proves the round loop is over, so no lane can still
-    /// be read and no unsafe cell access is needed. Used by the engine's
-    /// end-of-run drain that hands parked payloads back to programs for
-    /// recycling (instead of letting the next run's reset drop them).
-    pub(crate) fn take_slot(&mut self, v: NodeIndex) -> Option<M> {
-        self.slots.get_mut(v as usize).and_then(|s| s.get_mut().take())
-    }
-}
-
-/// Double-buffered per-receiver inboxes for the sequential fast path:
-/// senders push pre-labeled [`Packet`]s straight into the receiver's
-/// next-round buffer, receivers read and clear their current one.
-/// Broadcast payloads park once in the sender's slot (same
-/// double-buffered parity discipline as [`Arena`]'s slots) and the
-/// buffers carry shared refs. No `Sync` impl — this arena must never
-/// cross threads (receiver buffers are multi-writer), which the engine
-/// guarantees by using it only under `Executor::Sequential`.
+/// Double-buffered per-receiver inboxes: senders push pre-labeled
+/// [`Packet`]s straight into the receiver's next-round buffer,
+/// receivers read and clear their current one. No `Sync` impl — this
+/// arena must never be shared across threads (receiver buffers are
+/// multi-writer); the engine and each partition step their nodes on one
+/// thread.
 pub(crate) struct InboxArena<M> {
     boxes: Vec<UnsafeCell<Vec<Packet<M>>>>,
-    /// Per-sender broadcast slots; see [`Arena::slots`].
+    /// Per-sender broadcast slots: slot `v` holds the payload of `v`'s
+    /// broadcast of this generation *once*; the inboxes carry shared
+    /// refs into it. Written only by `v` while this generation is the
+    /// write side, read only by `v`'s neighbors during the following
+    /// round (when no slot of this generation is written at all),
+    /// overwritten by `v`'s next same-parity broadcast — which is when
+    /// the stale payload is evicted back to `v` for recycling. Never
+    /// scanned or cleared.
     slots: Vec<UnsafeCell<Option<M>>>,
     /// Extent the current (or last) run uses; `reset` only cleans this
     /// prefix.
@@ -284,7 +133,11 @@ impl<M> InboxArena<M> {
     }
 
     /// Prepares the arena for a run over `nodes` receivers, reusing the
-    /// previous run's buffer capacities; see [`Arena::reset`].
+    /// previous run's allocations: buffers in the previously used
+    /// extent are cleared (capacity kept — the whole point of batch
+    /// reuse), stale broadcast payloads are dropped, and the backing
+    /// arrays grow only when the new graph does not fit. `&mut self`
+    /// proves exclusivity, so no unsafe cell access is needed.
     pub(crate) fn reset(&mut self, nodes: usize) {
         for b in self.boxes.iter_mut().take(self.used) {
             b.get_mut().clear();
@@ -320,23 +173,26 @@ impl<M> InboxArena<M> {
     }
 
     /// Type-erased base pointer of the broadcast-slot array
-    /// (`*mut Option<M>`); see [`Arena::slots_ptr`].
+    /// (`*mut Option<M>`), for the sender-side outbox. Access contract
+    /// as documented on the field: slot `v` is touched only by sender
+    /// `v`, and only while this generation is the write side.
     pub(crate) fn slots_ptr(&self) -> *mut () {
         // UnsafeCell<T> is repr(transparent) over T.
         self.slots.as_ptr() as *mut ()
     }
 
-    /// Takes the payload parked in sender `v`'s broadcast slot, if any;
-    /// see [`Arena::take_slot`].
+    /// Takes the payload parked in sender `v`'s broadcast slot, if any.
+    /// `&mut self` proves the round loop is over, so no inbox can still
+    /// be read. Used by the end-of-run drain that hands parked payloads
+    /// back to programs for recycling (instead of letting the next
+    /// run's reset drop them).
     pub(crate) fn take_slot(&mut self, v: NodeIndex) -> Option<M> {
         self.slots.get_mut(v as usize).and_then(|s| s.get_mut().take())
     }
 }
 
-/// Round statistics accumulated in the fused write path, per node, and
-/// merged across nodes. Merging is associative, and `violation` keeps
-/// the leftmost (= lowest node index) entry, so sequential folds and
-/// chunked parallel reductions produce identical results.
+/// Round statistics accumulated in the fused write path over one
+/// round's nodes (all of them in process, or one partition's range).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct RoundAcc {
     pub messages: u64,
@@ -346,8 +202,8 @@ pub(crate) struct RoundAcc {
     pub max_link_messages: u64,
     /// Nodes that transitioned `Running → Halted` this round.
     pub halted: u32,
-    /// First (by node index) lane that exceeded an enforced budget:
-    /// `(sender, port, end-of-round lane bits)`.
+    /// First (by node index) link that exceeded an enforced budget:
+    /// `(sender, port, end-of-round link bits)`.
     pub violation: Option<(NodeIndex, u32, u64)>,
     /// Messages lost to each fault kind, indexed by
     /// [`crate::fault::DropKind::index`].
@@ -359,25 +215,6 @@ pub(crate) struct RoundAcc {
 }
 
 impl RoundAcc {
-    pub(crate) fn merge(a: RoundAcc, b: RoundAcc) -> RoundAcc {
-        let mut drops_by_kind = a.drops_by_kind;
-        for (d, s) in drops_by_kind.iter_mut().zip(b.drops_by_kind) {
-            *d += s;
-        }
-        RoundAcc {
-            messages: a.messages + b.messages,
-            bits: a.bits + b.bits,
-            max_message_bits: a.max_message_bits.max(b.max_message_bits),
-            max_link_bits: a.max_link_bits.max(b.max_link_bits),
-            max_link_messages: a.max_link_messages.max(b.max_link_messages),
-            halted: a.halted + b.halted,
-            violation: a.violation.or(b.violation),
-            drops_by_kind,
-            corrupted_delivered: a.corrupted_delivered + b.corrupted_delivered,
-            corrupted_rejected: a.corrupted_rejected + b.corrupted_rejected,
-        }
-    }
-
     /// Folds this accumulator's fault counters into a run-level report.
     pub(crate) fn add_faults_to(&self, fr: &mut crate::metrics::FaultReport) {
         use crate::fault::DropKind;
@@ -396,30 +233,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_is_associative_and_keeps_leftmost_violation() {
-        let a =
-            RoundAcc { messages: 1, bits: 10, violation: Some((3, 0, 9)), ..RoundAcc::default() };
-        let b =
-            RoundAcc { messages: 2, bits: 5, violation: Some((7, 1, 4)), ..RoundAcc::default() };
-        let c = RoundAcc { messages: 4, max_link_bits: 99, ..RoundAcc::default() };
-        let left = RoundAcc::merge(RoundAcc::merge(a, b), c);
-        let right = RoundAcc::merge(a, RoundAcc::merge(b, c));
-        assert_eq!(left.messages, 7);
-        assert_eq!(left.messages, right.messages);
-        assert_eq!(left.max_link_bits, 99);
-        assert_eq!(left.violation, Some((3, 0, 9)));
-        assert_eq!(right.violation, Some((3, 0, 9)));
-    }
-
-    #[test]
-    fn lanes_start_zeroed() {
-        let arena: Arena<u64> = Arena::new(4, 2);
-        for de in 0..4 {
+    fn inboxes_start_empty() {
+        let mut arena: InboxArena<u64> = InboxArena::new(2);
+        for v in 0..2 {
             // SAFETY: single-threaded test, no overlapping access.
-            let lane = unsafe { arena.lane(de) };
-            assert!(lane.is_empty());
+            let inbox = unsafe { arena.inbox(v) };
+            assert!(inbox.is_empty());
+            assert!(arena.take_slot(v).is_none());
         }
-        assert!(!arena.is_dirty(0) && !arena.is_dirty(1));
     }
 
     #[test]

@@ -1,63 +1,49 @@
 //! The synchronous round engine, built on preallocated double-buffered
-//! message arenas.
+//! per-receiver inboxes.
 //!
 //! Executes a [`Program`] on every node of a [`Graph`] in lock-step
-//! rounds. Messages travel through per-directed-edge *lanes*: a flat
-//! array of `2m` buffers keyed by [`crate::graph::DirectedEdgeId`] (the
-//! graph's CSR adjacency slots), held in two arenas that swap roles
-//! each round — nodes read round `r`'s traffic out of the *current*
-//! arena while writing round `r+1`'s into the *next* one. After warm-up
-//! every buffer has reached its peak capacity and the steady-state
-//! round loop allocates nothing.
+//! rounds. Each node owns two inbox buffers that swap roles every round:
+//! nodes read round `r`'s traffic out of the *current* generation while
+//! their sends push round `r+1`'s straight into the receivers' *next*
+//! generation. After warm-up every buffer has reached its peak capacity
+//! and the steady-state round loop allocates nothing.
 //!
-//! Within one round each node, independently of all others (this is the
-//! data-parallelism the model prescribes, exploited by the rayon
-//! executor):
+//! Within one round the nodes step in ascending index order, and each
+//! one:
 //!
-//! 1. **gathers** its inbox from the lanes of its incoming directed
-//!    edges, in ascending local-port order — ports are sorted by
-//!    neighbor index, so delivery order is canonical (ascending sender,
-//!    then the sender's queueing order) and runs are bit-for-bit
-//!    reproducible across the [`Executor`]s. Messages are stored
-//!    already labeled with their receiver-side port, so gathering is a
-//!    whole-buffer swap/append, and a per-receiver traffic hint skips
-//!    the scan outright on silent rounds;
-//! 2. **steps** its program; the outbox writes every send *straight
-//!    into this sender's own lanes of the next arena*, fusing the wire
-//!    accounting into the write path: per-link bit/message counters
-//!    live in a flat table indexed by directed-edge id (sender-owned
-//!    rows, round-stamped so stale entries are semantically zero and
-//!    nothing is ever scanned to reset), bandwidth enforcement checks
-//!    the counter as each message lands, and round statistics
-//!    accumulate into executor-chunk accumulators merged associatively
-//!    after the round. One move per message, no queue in between.
+//! 1. **reads** its current inbox. Messages are stored already labeled
+//!    with their receiver-side port, and because senders step in
+//!    ascending order the inbox is in canonical delivery order
+//!    (ascending sender, then the sender's queueing order), so runs are
+//!    bit-for-bit reproducible, and identical to the partitioned
+//!    executor of [`crate::net`];
+//! 2. **steps** its program; the outbox pushes every send *straight into
+//!    the receiver's next inbox*, fusing the wire accounting into the
+//!    write path: per-link bit/message counters live in a flat table
+//!    indexed by directed-edge id (sender-owned rows, round-stamped so
+//!    stale entries are semantically zero and nothing is ever scanned
+//!    to reset), bandwidth enforcement checks the counter as each
+//!    message lands, and round statistics accumulate into one round
+//!    accumulator. One move per message, no queue in between.
 //!
 //! When nothing can observe the wire counters (no round recording, no
 //! bandwidth cap, no fault plan) the send path drops the accounting
-//! entirely. The sequential executor goes one step further and never
-//! builds lanes at all: sends push straight into per-receiver
-//! double-buffered inboxes — same canonical order, same fused
-//! accounting when observable (see `SinkMode` in the `node` module).
+//! entirely (see `SinkMode` in the `node` module).
 //!
-//! Safety of the shared arenas rests on two disjointness invariants,
-//! both enforced by construction: during a round, lane `(v → w)` of the
-//! *next* arena is written only by its unique sender `v`, and lane
-//! `(x → v)` of the *current* arena is drained only by its unique
-//! receiver `v`.
+//! Per-round work per node is small (Lemma 3 bounds what a node sends),
+//! so the engine runs one thread per run; throughput across runs comes
+//! from the job-sharded batch runner ([`crate::batch`]), which gives
+//! every shard its own workspace.
 //!
 //! The engine also maintains the count of running nodes incrementally
 //! (nodes only ever transition `Running → Halted`), so termination
 //! detection is O(1) per round instead of an O(n) scan.
 
-use rayon::prelude::*;
-
-use crate::arena::{Arena, InboxArena, LoadTable, RoundAcc};
+use crate::arena::{InboxArena, LoadTable, RoundAcc};
 use crate::graph::{Graph, NodeIndex};
 use crate::message::WireParams;
 use crate::metrics::{RoundStats, RunReport};
-use crate::node::{
-    DirectSink, Inbox, NodeInit, Outbox, Packet, Program, SinkCtx, SinkMode, Status,
-};
+use crate::node::{DirectSink, Inbox, NodeInit, Outbox, Program, SinkCtx, SinkMode, Status};
 
 /// How strictly the engine applies the `O(log n)`-bit CONGEST bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,11 +59,11 @@ pub enum BandwidthPolicy {
 /// Which executor steps the nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Executor {
-    /// Plain loop; reference semantics.
-    Sequential,
-    /// rayon `par_iter` over nodes; identical results, faster wall-clock.
+    /// The in-process engine: one loop over the nodes per round, sends
+    /// pushed straight into per-receiver inboxes. The default, and the
+    /// reference semantics every other executor must reproduce.
     #[default]
-    Parallel,
+    Sequential,
     /// Cross-process execution: the graph is partitioned into
     /// `workers` contiguous node ranges, each stepped by its own
     /// worker over the [`crate::net`] frame protocol, with per-round
@@ -123,7 +109,7 @@ impl Default for EngineConfig {
         EngineConfig {
             max_rounds: 1 << 20,
             bandwidth: BandwidthPolicy::Measure,
-            executor: Executor::Parallel,
+            executor: Executor::default(),
             record_rounds: true,
             faults: crate::fault::FaultPlan::none(),
             net: crate::net::NetOptions::default(),
@@ -184,45 +170,32 @@ impl<V> RunOutcome<V> {
     }
 }
 
-/// Reusable engine state for batch runs: the double-buffered message
-/// arenas (lane form for the parallel executor, per-receiver inbox form
-/// for the sequential one) plus the flat wire-load table.
+/// Reusable engine state for batch runs: the double-buffered
+/// per-receiver inboxes plus the flat wire-load table.
 ///
 /// A fresh workspace owns nothing but empty vectors; the first run
 /// through it allocates exactly what a one-shot
 /// [`crate::session::Session::run`] would. Runs *reset* the workspace
-/// instead of reallocating: lanes, inboxes, and load rows in the
-/// previously used extent are cleared with their capacities kept, and
-/// the backing arrays grow only when the next graph does not fit. A
-/// shard of a batch run drives dozens of graphs through one workspace
-/// and reaches steady-state allocation-free setup after the largest
-/// job has warmed it up.
-///
-/// Only the arenas matching the executor actually used are ever touched
-/// (a sequential-only workspace never builds lanes).
+/// instead of reallocating: inboxes and load rows in the previously
+/// used extent are cleared with their capacities kept, and the backing
+/// arrays grow only when the next graph does not fit. A shard of a
+/// batch run drives dozens of graphs through one workspace and reaches
+/// steady-state allocation-free setup after the largest job has warmed
+/// it up.
 pub struct EngineWorkspace<M> {
-    lane_cur: Arena<M>,
-    lane_next: Arena<M>,
     inbox_cur: InboxArena<M>,
     inbox_next: InboxArena<M>,
     loads: LoadTable,
     slots: SlotStore,
-    /// One-shot pinned node→thread partition for the next parallel run
-    /// (see [`EngineWorkspace::pin_node_chunk_plan`]); consumed by the
-    /// run so it can never leak into a later run on a different graph.
-    pinned_node_plan: Option<rayon::ChunkPlan>,
 }
 
 impl<M> Default for EngineWorkspace<M> {
     fn default() -> Self {
         EngineWorkspace {
-            lane_cur: Arena::new(0, 0),
-            lane_next: Arena::new(0, 0),
             inbox_cur: InboxArena::new(0),
             inbox_next: InboxArena::new(0),
             loads: LoadTable::new(0),
             slots: SlotStore::default(),
-            pinned_node_plan: None,
         }
     }
 }
@@ -231,19 +204,6 @@ impl<M> EngineWorkspace<M> {
     /// An empty workspace (allocates nothing until its first run).
     pub fn new() -> Self {
         EngineWorkspace::default()
-    }
-
-    /// Pins the parallel executor's node→thread partition for the
-    /// **next** run through this workspace to `plan` (normally the
-    /// [`node_step_plan`] snapshot external chunk-keyed state was
-    /// prepared from — the SoA node-state arena passes the exact plan
-    /// its chunk-shared scratch was sized for, so the executing
-    /// partition and the scratch layout provably agree even if the
-    /// forced-worker state is mutated concurrently). Consumed by that
-    /// run; sequential runs discard it. The plan must have been
-    /// computed for the run's node count.
-    pub fn pin_node_chunk_plan(&mut self, plan: rayon::ChunkPlan) {
-        self.pinned_node_plan = Some(plan);
     }
 
     /// Reuse counters of the per-run slot (program) array — how often a
@@ -282,9 +242,9 @@ impl<M> EngineWorkspace<M> {
 
     /// As [`EngineWorkspace::run_on`], writing the result into a
     /// caller-owned [`RunOutcome`] (reset first, capacities kept)
-    /// instead of allocating a fresh one. With a warm workspace, a warm
-    /// outcome buffer, and the sequential executor, a rerun of the same
-    /// program type performs zero heap operations — the contract the
+    /// instead of allocating a fresh one. With a warm workspace and a
+    /// warm outcome buffer, a rerun of the same program type performs
+    /// zero heap operations — the contract the
     /// `ck_lint::alloc_gate` regression tests enforce. On error the
     /// outcome's contents are unspecified.
     #[allow(clippy::too_many_arguments)]
@@ -367,9 +327,6 @@ impl Drop for RawSlotBuf {
 // construction) — it is inert memory owned uniquely by the store, so
 // moving or sharing the store across threads moves nothing that cares.
 unsafe impl Send for SlotStore {}
-// SAFETY: same argument as Send — the parked buffer is inert, uniquely
-// owned memory, and every accessor takes `&mut self`.
-unsafe impl Sync for SlotStore {}
 
 impl SlotStore {
     /// Takes an empty `Vec<T>`, warm (previous run's capacity) when the
@@ -410,17 +367,11 @@ impl SlotStore {
 struct Slot<P: Program> {
     prog: P,
     status: Status,
-    /// Persistent gather buffer; cleared (capacity kept) every round.
-    /// Holds raw delivery packets — broadcast entries point into the
-    /// current arena's broadcast slots, valid for the round they are
-    /// gathered in (the buffer is cleared before reuse, and nothing
-    /// dereferences it between rounds).
-    inbox: Vec<Packet<P::Msg>>,
 }
 
-/// Observability of the wire, derived once per run so the sequential,
-/// parallel, and partitioned ([`crate::net::PartitionEngine`]) paths
-/// can never disagree on sink selection.
+/// Observability of the wire, derived once per run so the in-process
+/// and partitioned ([`crate::net::PartitionEngine`]) paths can never
+/// disagree on sink selection.
 #[derive(Clone, Copy)]
 pub(crate) struct WireFlags {
     pub(crate) check_faults: bool,
@@ -462,8 +413,8 @@ fn round_stats(acc: &RoundAcc, round: u32, active_nodes: usize) -> RoundStats {
 /// After node `v`'s step: if `v` newly tripped the bandwidth budget,
 /// replace the running total captured mid-step with the link's full
 /// end-of-round load — the row is sender-exclusive, so it is final.
-/// Shared by both executors' round loops to keep the reported
-/// violation bit-for-bit identical.
+/// Shared by the in-process and partitioned round loops to keep the
+/// reported violation bit-for-bit identical.
 ///
 /// # Safety
 /// `loads_row` must be `v`'s valid load row (a violation implies the
@@ -483,130 +434,17 @@ pub(crate) unsafe fn finalize_violation(
     }
 }
 
-/// One node's round: gather → step (sends write straight into the next
-/// arena through the outbox's direct sink — one move per message, with
-/// wire accounting and bandwidth checks fused into the write). Called
-/// for every node exactly once per round, by either executor;
-/// everything it touches outside `slot` and `acc` is lane-disjoint from
-/// every other node's call. Statistics accumulate into `acc` (one per
-/// executor chunk; chunk accumulators merge associatively in node
-/// order, so both executors produce identical round statistics).
-struct RoundRefs<'a, M> {
-    graph: &'a Graph,
-    /// Read arena: round `r`'s traffic, drained by receivers.
-    cur: &'a Arena<M>,
-    /// Write arena: round `r+1`'s traffic, filled by senders.
-    next: &'a Arena<M>,
-    loads: &'a LoadTable,
-    ctx: &'a SinkCtx,
-}
-
-fn round_step<P: Program>(
-    v: usize,
-    slot: &mut Slot<P>,
-    rr: &RoundRefs<'_, P::Msg>,
-    acc: &mut RoundAcc,
-) {
-    let &RoundRefs { graph, cur, next, loads, ctx } = rr;
-    let v = v as NodeIndex;
-    let lanes = graph.directed_edge_range(v);
-
-    if slot.status != Status::Running {
-        // A halted node sends and receives nothing, but it still owns
-        // the receiver side of its incoming lanes: drop the traffic so
-        // the lanes are clean when the arena swaps back into the write
-        // role. (Wire loads are round-stamped, never cleaned.)
-        if cur.is_dirty(v) {
-            cur.clear_dirty(v);
-            for s in lanes {
-                // SAFETY: `rev(s)` lanes of `cur` are drained only by
-                // their unique receiver `v` (see `Arena::lane`).
-                unsafe { cur.lane(graph.reverse_directed_edge(s)) }.clear();
-            }
-        }
-        return;
-    }
-
-    // Gather: ascending local port = ascending sender index (rows are
-    // sorted), preserving the canonical delivery order. The dirty hint
-    // skips the lane scan entirely on silent rounds.
-    slot.inbox.clear();
-    if cur.is_dirty(v) {
-        cur.clear_dirty(v);
-        for s in lanes.clone() {
-            // SAFETY: as above — receiver-unique drain access.
-            let lane = unsafe { cur.lane(graph.reverse_directed_edge(s)) };
-            if !lane.is_empty() {
-                // Messages were labeled with this receiver's port at
-                // send time: delivery is a whole-buffer move. The swap
-                // circulates capacities between lanes and inboxes, so
-                // the steady state stays allocation-free.
-                if slot.inbox.is_empty() {
-                    std::mem::swap(&mut slot.inbox, lane);
-                } else {
-                    slot.inbox.append(lane);
-                }
-            }
-        }
-    }
-
-    // Step, with the fused write path as the outbox.
-    let had_violation = acc.violation.is_some();
-    let degree = lanes.len() as u32;
-    let loads_row = if ctx.account {
-        // SAFETY: `row_ptr(lanes.start)` is this sender's exclusive
-        // load-table row for the whole round, only materialized when
-        // the run accounts — the table is empty otherwise, and nothing
-        // reads it.
-        unsafe { loads.row_ptr(lanes.start) }
-    } else {
-        std::ptr::NonNull::dangling().as_ptr()
-    };
-    // SAFETY: `row_ptr(lanes.start)` is this sender's exclusive lane row
-    // in the write arena for the whole round; `acc` and `ctx` outlive
-    // the outbox, which is dropped before this frame returns.
-    let mut out: Outbox<P::Msg> = unsafe {
-        Outbox::direct(
-            degree,
-            DirectSink {
-                lanes: next.row_ptr(lanes.start) as *mut (),
-                slots: next.slots_ptr(),
-                receivers: graph.neighbors(v).as_ptr(),
-                rev_ports: graph.rev_ports_row(v).as_ptr(),
-                acc,
-                loads: loads_row,
-                ctx,
-                sender: v,
-            },
-            if ctx.heavy { SinkMode::Heavy } else { SinkMode::FastLanes },
-        )
-    };
-    // SAFETY: the gathered packets' shared pointers target broadcast
-    // slots of `cur`, which no one writes while `cur` is in the read
-    // role — valid for the whole step call.
-    let inbox = unsafe { Inbox::from_packets(&slot.inbox) };
-    let status = slot.prog.step(ctx.round, inbox, &mut out);
-    drop(out);
-    slot.status = status;
-    if status == Status::Halted {
-        acc.halted += 1;
-    }
-    // SAFETY: sender-unique row access, as above.
-    unsafe { finalize_violation(acc, had_violation, v, loads_row) };
-}
-
-/// The sequential executor's round loop (see [`SinkMode::FastInbox`] /
-/// [`SinkMode::HeavyInbox`]): no lanes — every send is one push into
-/// the receiver's double-buffered next-round inbox, and gather is
-/// reading one's own buffer. Delivery order is identical to the lane
-/// path (ascending sender, then queueing order) because the node loop
-/// runs in ascending order. When the wire is observable (recorded
-/// rounds, an enforced budget, or a fault plan) the sends additionally
-/// run the same fused accounting as the lane path against the flat
-/// per-directed-edge load table, producing bit-for-bit identical round
-/// statistics. Returns `(rounds_executed, active)`.
+/// The round loop (see [`SinkMode::FastInbox`] /
+/// [`SinkMode::HeavyInbox`]): every send is one push into the
+/// receiver's double-buffered next-round inbox, and gathering is
+/// reading one's own buffer. The node loop runs in ascending order, so
+/// every inbox is in canonical delivery order (ascending sender, then
+/// queueing order). When the wire is observable (recorded rounds, an
+/// enforced budget, or a fault plan) the sends additionally run the
+/// fused accounting against the flat per-directed-edge load table.
+/// Returns `(rounds_executed, active)`.
 #[allow(clippy::too_many_arguments)]
-fn run_rounds_seq_inbox<P: Program>(
+fn run_rounds<P: Program>(
     graph: &Graph,
     config: &EngineConfig,
     params: &WireParams,
@@ -626,14 +464,10 @@ fn run_rounds_seq_inbox<P: Program>(
             break;
         }
         let ctx = SinkCtx {
-            // The inbox sinks never read receiver traffic hints (see
-            // `SinkCtx::dirty`).
-            dirty: std::ptr::NonNull::dangling().as_ptr(),
             params,
             faults: &config.faults,
             check_faults,
             account,
-            heavy,
             limit,
             round,
             stamp: loads.stamp_for(round),
@@ -666,7 +500,7 @@ fn run_rounds_seq_inbox<P: Program>(
                 Outbox::direct(
                     lanes.len() as u32,
                     DirectSink {
-                        lanes: next.base_ptr(),
+                        inboxes: next.base_ptr(),
                         slots: next.slots_ptr(),
                         receivers: graph.neighbors(vi).as_ptr(),
                         rev_ports: graph.rev_ports_row(vi).as_ptr(),
@@ -700,125 +534,6 @@ fn run_rounds_seq_inbox<P: Program>(
         if config.record_rounds {
             report.per_round.push(round_stats(&acc, round, active + acc.halted as usize));
         }
-        std::mem::swap(cur, next);
-        round += 1;
-    }
-    Ok((round, active))
-}
-
-/// Inline-vs-spawn threshold for the parallel executor's per-node step
-/// fold. A node step (gather + program logic + wire accounting) is
-/// orders of magnitude heavier than the trivial loop bodies the rayon
-/// shim's default `MIN_PAR_LEN` is tuned for, so spawning pays off far
-/// earlier than 4096 nodes.
-pub const NODE_STEP_MIN_PAR_LEN: usize = 1024;
-
-/// Elements per contiguous chunk in the parallel executor's node→thread
-/// partition for an `n`-node graph, under the current forced-worker
-/// state. Node `v` steps on the thread owning chunk `v / chunk_len`.
-///
-/// This is the contract external chunk-local state keys off: the SoA
-/// node-state arena allocates one prune/scan scratch per chunk of this
-/// exact plan, so two nodes share scratch only when they provably step
-/// on the same thread. Because the plan is a snapshot of *mutable*
-/// state (forced workers can change between calls), callers that size
-/// chunk-keyed state off it must capture it **once** and hand that
-/// same snapshot to [`EngineWorkspace::pin_node_chunk_plan`]; the
-/// round loop then executes every round on the pinned partition
-/// verbatim (the shim's `with_chunk_plan`) instead of re-planning per
-/// round, so the partition and the state provably agree for the whole
-/// run.
-pub fn node_step_plan(n: usize) -> rayon::ChunkPlan {
-    rayon::chunk_plan_with_min_len(n, NODE_STEP_MIN_PAR_LEN)
-}
-
-/// Elements per contiguous chunk of [`node_step_plan`]`(n)` — the
-/// node→thread partition under the *current* forced-worker state.
-/// Node `v` steps on the thread owning chunk `v / chunk_len`.
-pub fn node_chunk_len(n: usize) -> usize {
-    node_step_plan(n).chunk_len
-}
-
-/// The parallel executor's round loop: the double-buffered lane arenas.
-/// Invariant at the top of every round: `next` is entirely empty/zeroed,
-/// `cur` holds exactly the undelivered traffic of the previous round.
-/// Returns `(rounds_executed, active)`.
-#[allow(clippy::too_many_arguments)]
-fn run_rounds_par_lanes<P: Program>(
-    graph: &Graph,
-    config: &EngineConfig,
-    params: &WireParams,
-    wf: WireFlags,
-    slots: &mut [Slot<P>],
-    mut active: usize,
-    report: &mut RunReport,
-    cur: &mut Arena<P::Msg>,
-    next: &mut Arena<P::Msg>,
-    loads: &LoadTable,
-    pinned_plan: Option<rayon::ChunkPlan>,
-) -> Result<(u32, usize), EngineError> {
-    let WireFlags { check_faults, limit, account, heavy } = wf;
-    // One node→thread partition for the whole run, pinned on every
-    // round's fold. When the caller prepared chunk-keyed external state
-    // (the SoA arena's chunk-shared scratch), it hands us the exact
-    // snapshot that state was sized against via
-    // [`EngineWorkspace::pin_node_chunk_plan`]; otherwise we capture
-    // the plan fresh here. Either way the partition cannot drift
-    // mid-run even if `force_workers_for_tests` / `CK_FORCED_WORKERS`
-    // state changes while rounds execute.
-    let plan = pinned_plan.unwrap_or_else(|| node_step_plan(slots.len()));
-    assert_eq!(
-        plan.len,
-        slots.len(),
-        "pinned node chunk plan was computed for a different node count"
-    );
-    let mut round = 0u32;
-    while round < config.max_rounds {
-        if active == 0 {
-            break;
-        }
-
-        // Single pass: each node's gather/step/write accumulates its
-        // stats contribution into a chunk accumulator; accumulators
-        // merge associatively (leftmost-violation rule included), so the
-        // sequential fold and the chunked parallel reduction produce
-        // identical results.
-        let acc = {
-            let ctx = SinkCtx {
-                dirty: next.dirty_ptr(),
-                params,
-                faults: &config.faults,
-                check_faults,
-                account,
-                heavy,
-                limit,
-                round,
-                stamp: loads.stamp_for(round),
-            };
-            let rr = RoundRefs { graph, cur: &*cur, next: &*next, loads, ctx: &ctx };
-            let rr_ref = &rr;
-            slots
-                .par_iter_mut()
-                .with_chunk_plan(plan)
-                .enumerate()
-                .fold(RoundAcc::default, |mut acc, (v, slot)| {
-                    round_step(v, slot, rr_ref, &mut acc);
-                    acc
-                })
-                .reduce(RoundAcc::default, RoundAcc::merge)
-        };
-
-        if let Some((node, port, bits)) = acc.violation {
-            return Err(EngineError::BandwidthExceeded { round, node, port, bits, limit });
-        }
-        active -= acc.halted as usize;
-        acc.add_faults_to(&mut report.faults);
-        if config.record_rounds {
-            report.per_round.push(round_stats(&acc, round, active + acc.halted as usize));
-        }
-
-        // Swap buffers: this round's writes become next round's reads;
-        // the fully-drained read arena becomes the write arena.
         std::mem::swap(cur, next);
         round += 1;
     }
@@ -864,9 +579,8 @@ where
 /// As [`exec_with_workspace`], writing the result into a caller-owned
 /// [`RunOutcome`] instead of allocating a fresh one. The outcome is
 /// reset first (capacities kept), so rotating the same buffer through
-/// repeated runs makes the warm rerun fully allocation-free under the
-/// sequential executor — the dynamic contract `ck_lint::alloc_gate`
-/// tests pin down. On error the outcome's contents are unspecified.
+/// repeated runs makes the warm rerun fully allocation-free — the
+/// dynamic contract `ck_lint::alloc_gate` tests pin down. On error the outcome's contents are unspecified.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_into_with_workspace<'g, P, F, R>(
     graph: &'g Graph,
@@ -896,7 +610,7 @@ where
             n,
             m,
         };
-        Slot { prog: factory(init), status: Status::Running, inbox: Vec::new() }
+        Slot { prog: factory(init), status: Status::Running }
     }));
 
     let report = &mut out.report;
@@ -908,52 +622,26 @@ where
     let directed = graph.num_directed_edges();
     ws.loads.reset(if wf.account { directed } else { 0 });
 
-    // The sequential executor never needs lanes: single-threaded sends
-    // can push straight into per-receiver double-buffered inboxes (same
-    // canonical order — ascending sender, then queueing order), with the
-    // same fused accounting against the flat load table when observable.
     // `Distributed` lands here too: arbitrary in-process programs are
     // closures and cannot be shipped to worker processes, so the
     // generic entry degrades to the sequential oracle (bit-identical
     // results) and records the degradation in the report's net block;
     // serializable protocol layers dispatch real distribution above
     // this function (see `crate::net`).
-    // Consume any pinned node→thread partition unconditionally: a pin
-    // is armed for exactly one run, and must not leak into a later run
-    // (or a sequential one) with a different node count.
-    let pinned_plan = ws.pinned_node_plan.take();
-    let rounds_result = if config.executor != Executor::Parallel {
-        ws.inbox_cur.reset(n);
-        ws.inbox_next.reset(n);
-        run_rounds_seq_inbox(
-            graph,
-            config,
-            params,
-            wf,
-            &mut slots,
-            n,
-            report,
-            &mut ws.inbox_cur,
-            &mut ws.inbox_next,
-            &ws.loads,
-        )
-    } else {
-        ws.lane_cur.reset(directed, n);
-        ws.lane_next.reset(directed, n);
-        run_rounds_par_lanes(
-            graph,
-            config,
-            params,
-            wf,
-            &mut slots,
-            n,
-            report,
-            &mut ws.lane_cur,
-            &mut ws.lane_next,
-            &ws.loads,
-            pinned_plan,
-        )
-    };
+    ws.inbox_cur.reset(n);
+    ws.inbox_next.reset(n);
+    let rounds_result = run_rounds(
+        graph,
+        config,
+        params,
+        wf,
+        &mut slots,
+        n,
+        report,
+        &mut ws.inbox_cur,
+        &mut ws.inbox_next,
+        &ws.loads,
+    );
     let (round, active) = match rounds_result {
         Ok(ra) => ra,
         Err(e) => {
@@ -970,7 +658,6 @@ where
     config.faults.crashed_by_into(round, n, &mut report.faults.crashed_nodes);
     (report.executor, report.threads) = match config.executor {
         Executor::Sequential => ("sequential", 1),
-        Executor::Parallel => ("parallel", rayon::current_num_threads()),
         Executor::Distributed { workers } => {
             report.net = Some(crate::metrics::NetReport::degraded(
                 u32::from(workers.max(1)),
@@ -983,7 +670,7 @@ where
     out.verdicts.extend(slots.iter().map(|s| s.prog.verdict()));
 
     // Hand each sender's still-parked broadcast payloads (at most one
-    // per arena generation) back to its program, in node-index order.
+    // per inbox generation) back to its program, in node-index order.
     // Whatever parks at run end was shipped in the final two rounds and
     // can no longer be observed by any receiver; without this drain the
     // next run's arena reset would drop the payloads, bleeding
@@ -994,20 +681,11 @@ where
     // partitioned executor (which parks payloads in its own slots).
     for (v, slot) in slots.iter_mut().enumerate() {
         let v = v as NodeIndex;
-        if config.executor != Executor::Parallel {
-            if let Some(m) = ws.inbox_cur.take_slot(v) {
-                slot.prog.reclaim_msg(m);
-            }
-            if let Some(m) = ws.inbox_next.take_slot(v) {
-                slot.prog.reclaim_msg(m);
-            }
-        } else {
-            if let Some(m) = ws.lane_cur.take_slot(v) {
-                slot.prog.reclaim_msg(m);
-            }
-            if let Some(m) = ws.lane_next.take_slot(v) {
-                slot.prog.reclaim_msg(m);
-            }
+        if let Some(m) = ws.inbox_cur.take_slot(v) {
+            slot.prog.reclaim_msg(m);
+        }
+        if let Some(m) = ws.inbox_next.take_slot(v) {
+            slot.prog.reclaim_msg(m);
         }
     }
 
@@ -1076,31 +754,36 @@ mod tests {
         GraphBuilder::new(n).edges((0..n as u32 - 1).map(|i| (i, i + 1))).build().unwrap()
     }
 
-    fn run_minflood(g: &Graph, exec: Executor) -> RunOutcome<u64> {
+    fn run_minflood(g: &Graph) -> RunOutcome<u64> {
         let ttl = g.n() as u32; // diameter bound
-        let cfg = EngineConfig { executor: exec, ..EngineConfig::default() };
-        run(g, &cfg, |init| MinFlood { best: init.id, ttl, changed: false }).unwrap()
+        run(g, &EngineConfig::default(), |init| MinFlood { best: init.id, ttl, changed: false })
+            .unwrap()
     }
 
     #[test]
     fn min_flood_converges_on_path() {
         let g = path_graph(16).with_ids((0..16).map(|i| 100 - i as u64).collect()).unwrap();
-        let out = run_minflood(&g, Executor::Sequential);
+        let out = run_minflood(&g);
         let global_min = *g.ids().iter().min().unwrap();
         assert!(out.verdicts.iter().all(|&v| v == global_min));
         assert!(out.report.all_halted);
     }
 
+    /// The sequential executor is the default, with one source of
+    /// truth: the engine config defers to `Executor`'s own default, and
+    /// a default run reports itself as one sequential thread.
     #[test]
-    fn parallel_and_sequential_agree() {
-        let g = path_graph(64)
-            .with_ids((0..64).map(|i| (i as u64 * 2654435761) % 100_000).collect())
-            .unwrap();
-        let a = run_minflood(&g, Executor::Sequential);
-        let b = run_minflood(&g, Executor::Parallel);
-        assert_eq!(a.verdicts, b.verdicts);
-        assert_eq!(a.report.per_round, b.report.per_round);
-        assert_eq!(a.report.rounds, b.report.rounds);
+    fn default_executor_is_sequential() {
+        assert_eq!(EngineConfig::default().executor, Executor::default());
+        assert_eq!(Executor::default(), Executor::Sequential);
+        let g = path_graph(8);
+        let out = run(&g, &EngineConfig::default(), |init| MinFlood {
+            best: init.id,
+            ttl: 8,
+            changed: false,
+        })
+        .unwrap();
+        assert_eq!((out.report.executor, out.report.threads), ("sequential", 1));
     }
 
     #[test]
@@ -1235,29 +918,25 @@ mod tests {
                 self.got.clone()
             }
         }
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            let g = path_graph(3);
-            let cfg = EngineConfig { executor: exec, ..EngineConfig::default() };
-            let out = run(&g, &cfg, |_| Burst { got: Vec::new() }).unwrap();
-            // Node 1 hears from node 0 (its port 0) then node 2 (its
-            // port 1), each in the sender's queueing order.
-            let mid = &out.verdicts[1];
-            let from0: Vec<u64> = mid.iter().filter(|(p, _)| *p == 0).map(|&(_, m)| m).collect();
-            let from2: Vec<u64> = mid.iter().filter(|(p, _)| *p == 1).map(|&(_, m)| m).collect();
-            assert_eq!(from0, vec![0, 10, 20], "{exec:?}");
-            assert_eq!(from2, vec![0, 10, 20], "{exec:?}");
-            // Sender order: all of node 0's traffic precedes node 2's.
-            let first_from2 = mid.iter().position(|(p, _)| *p == 1).unwrap();
-            assert!(mid[..first_from2].iter().all(|(p, _)| *p == 0));
-            // Fused per-link counters: 3 messages per directed link.
-            assert_eq!(out.report.per_round[0].max_link_messages, 3);
-            assert_eq!(out.report.per_round[0].messages, 12);
-        }
+        let g = path_graph(3);
+        let out = run(&g, &EngineConfig::default(), |_| Burst { got: Vec::new() }).unwrap();
+        // Node 1 hears from node 0 (its port 0) then node 2 (its port
+        // 1), each in the sender's queueing order.
+        let mid = &out.verdicts[1];
+        let from0: Vec<u64> = mid.iter().filter(|(p, _)| *p == 0).map(|&(_, m)| m).collect();
+        let from2: Vec<u64> = mid.iter().filter(|(p, _)| *p == 1).map(|&(_, m)| m).collect();
+        assert_eq!(from0, vec![0, 10, 20]);
+        assert_eq!(from2, vec![0, 10, 20]);
+        // Sender order: all of node 0's traffic precedes node 2's.
+        let first_from2 = mid.iter().position(|(p, _)| *p == 1).unwrap();
+        assert!(mid[..first_from2].iter().all(|(p, _)| *p == 0));
+        // Fused per-link counters: 3 messages per directed link.
+        assert_eq!(out.report.per_round[0].max_link_messages, 3);
+        assert_eq!(out.report.per_round[0].messages, 12);
     }
 
-    /// All three sink paths — accounted lanes, counter-free lanes
-    /// (parallel), and the sequential per-receiver inbox fast path —
-    /// must deliver identical inboxes in identical order.
+    /// Both sink paths — accounted and counter-free — must deliver
+    /// identical inboxes in identical order.
     #[test]
     fn sink_paths_deliver_identically() {
         struct Recorder {
@@ -1289,21 +968,11 @@ mod tests {
             .edges([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6), (0, 6)])
             .build()
             .unwrap();
-        let mut outcomes = Vec::new();
-        for record_rounds in [true, false] {
-            for exec in [Executor::Sequential, Executor::Parallel] {
-                let cfg = EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
-                let out = run(&g, &cfg, |_| Recorder { ttl: 4, seen: Vec::new() }).unwrap();
-                outcomes.push((record_rounds, exec, out.verdicts));
-            }
-        }
-        let reference = outcomes[0].2.clone();
-        for (record_rounds, exec, verdicts) in &outcomes {
-            assert_eq!(
-                verdicts, &reference,
-                "divergent delivery: record_rounds={record_rounds} {exec:?}"
-            );
-        }
+        let [accounted, fast] = [true, false].map(|record_rounds| {
+            let cfg = EngineConfig { record_rounds, ..EngineConfig::default() };
+            run(&g, &cfg, |_| Recorder { ttl: 4, seen: Vec::new() }).unwrap().verdicts
+        });
+        assert_eq!(accounted, fast, "divergent delivery between the sink paths");
     }
 
     /// The maintained active counter must agree with the per-round
@@ -1334,49 +1003,9 @@ mod tests {
         assert_eq!(actives, vec![6, 5, 4, 3, 2, 1]);
     }
 
-    /// The parallel paths must survive genuinely concurrent workers.
-    /// The rayon shim runs inline on small inputs and single-core
-    /// machines, which would leave the arena's unsafe disjointness
-    /// contract untested; force it to split across 4 scoped threads and
-    /// compare every parallel mode against the sequential reference.
-    #[test]
-    fn parallel_paths_with_real_threads() {
-        struct ResetWorkers;
-        impl Drop for ResetWorkers {
-            fn drop(&mut self) {
-                rayon::force_workers_for_tests(0);
-            }
-        }
-        let _reset = ResetWorkers; // restore default even on panic
-        rayon::force_workers_for_tests(4);
-
-        let n = 6000;
-        let g = path_graph(n)
-            .with_ids((0..n).map(|i| (i as u64).wrapping_mul(2654435761) % 1_000_000).collect())
-            .unwrap();
-        let run_one = |exec, record_rounds, faults: crate::fault::FaultPlan| {
-            let cfg =
-                EngineConfig { executor: exec, record_rounds, faults, ..EngineConfig::default() };
-            run(&g, &cfg, |init| MinFlood { best: init.id, ttl: 30, changed: false }).unwrap()
-        };
-        for record_rounds in [true, false] {
-            for faults in [
-                crate::fault::FaultPlan::none(),
-                crate::fault::FaultPlan::none().random_loss(0.2, 5),
-            ] {
-                let seq = run_one(Executor::Sequential, record_rounds, faults.clone());
-                let par = run_one(Executor::Parallel, record_rounds, faults);
-                assert_eq!(seq.verdicts, par.verdicts, "record_rounds={record_rounds}");
-                assert_eq!(seq.report.per_round, par.report.per_round);
-                assert_eq!(seq.report.rounds, par.report.rounds);
-            }
-        }
-    }
-
     /// A workspace reused across differently-sized graphs (growing and
     /// shrinking, with faults in between leaving undelivered traffic
-    /// and stale load stamps) must behave exactly like a fresh one, on
-    /// both executors.
+    /// and stale load stamps) must behave exactly like a fresh one.
     #[test]
     fn workspace_reuse_is_bit_identical_across_graphs() {
         let jobs: Vec<(Graph, crate::fault::FaultPlan)> = vec![
@@ -1385,34 +1014,30 @@ mod tests {
             (path_graph(5), crate::fault::FaultPlan::none()),
             (path_graph(40), crate::fault::FaultPlan::none()),
         ];
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            for record_rounds in [true, false] {
-                let mut ws = EngineWorkspace::new();
-                for (g, faults) in &jobs {
-                    let cfg = EngineConfig {
-                        executor: exec,
-                        record_rounds,
-                        faults: faults.clone(),
-                        ..EngineConfig::default()
-                    };
-                    let ttl = g.n() as u32;
-                    let fresh =
-                        run(g, &cfg, |init| MinFlood { best: init.id, ttl, changed: false })
-                            .unwrap();
-                    let params = WireParams::for_graph(g);
-                    let reused = exec_with_workspace(
-                        g,
-                        &cfg,
-                        &params,
-                        &mut ws,
-                        &mut |init| MinFlood { best: init.id, ttl, changed: false },
-                        |_| {},
-                    )
-                    .unwrap();
-                    assert_eq!(fresh.verdicts, reused.verdicts, "{exec:?}");
-                    assert_eq!(fresh.report.per_round, reused.report.per_round, "{exec:?}");
-                    assert_eq!(fresh.report.rounds, reused.report.rounds, "{exec:?}");
-                }
+        for record_rounds in [true, false] {
+            let mut ws = EngineWorkspace::new();
+            for (g, faults) in &jobs {
+                let cfg = EngineConfig {
+                    record_rounds,
+                    faults: faults.clone(),
+                    ..EngineConfig::default()
+                };
+                let ttl = g.n() as u32;
+                let fresh =
+                    run(g, &cfg, |init| MinFlood { best: init.id, ttl, changed: false }).unwrap();
+                let params = WireParams::for_graph(g);
+                let reused = exec_with_workspace(
+                    g,
+                    &cfg,
+                    &params,
+                    &mut ws,
+                    &mut |init| MinFlood { best: init.id, ttl, changed: false },
+                    |_| {},
+                )
+                .unwrap();
+                assert_eq!(fresh.verdicts, reused.verdicts, "record_rounds={record_rounds}");
+                assert_eq!(fresh.report.per_round, reused.report.per_round);
+                assert_eq!(fresh.report.rounds, reused.report.rounds);
             }
         }
     }
@@ -1424,7 +1049,7 @@ mod tests {
     /// round *add to* A's heavy counters instead of starting from zero
     /// — caught here by running B under an enforced budget with no
     /// slack, and by comparing B's statistics against a fresh
-    /// workspace, on both executors.
+    /// workspace.
     #[test]
     fn workspace_reuse_keeps_link_counters_correct_across_jobs() {
         struct Talk {
@@ -1451,48 +1076,43 @@ mod tests {
         let g = path_graph(4);
         let params = WireParams::for_graph(&g);
         let small_bits = vec![7u64].wire_bits(&params);
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            let mut ws: EngineWorkspace<Vec<u64>> = EngineWorkspace::new();
-            // Job A: heavy broadcasts, measured only — stamps rounds
-            // 0..5 with large per-link bit counts.
-            let cfg_a = EngineConfig { executor: exec, ..EngineConfig::default() };
-            exec_with_workspace(
-                &g,
-                &cfg_a,
-                &params,
-                &mut ws,
-                &mut |_| Talk { payload: vec![7; 100], ttl: 5 },
-                |_| {},
-            )
-            .unwrap();
-            // Job B: one small message per link per round, enforced at
-            // exactly that size — any leak of job A's counters trips it.
-            let cfg_b = EngineConfig {
-                executor: exec,
-                bandwidth: BandwidthPolicy::Enforce { bits: small_bits },
-                ..EngineConfig::default()
-            };
-            let reused = exec_with_workspace(
-                &g,
-                &cfg_b,
-                &params,
-                &mut ws,
-                &mut |_| Talk { payload: vec![7], ttl: 5 },
-                |_| {},
-            )
-            .unwrap_or_else(|e| panic!("stale load counters leaked into job B ({exec:?}): {e}"));
-            let fresh = run(&g, &cfg_b, |_| Talk { payload: vec![7], ttl: 5 }).unwrap();
-            assert_eq!(reused.report.per_round, fresh.report.per_round, "{exec:?}");
-            for r in &reused.report.per_round {
-                assert!(r.max_link_bits <= small_bits, "{exec:?}: {r:?}");
-            }
+        let mut ws: EngineWorkspace<Vec<u64>> = EngineWorkspace::new();
+        // Job A: heavy broadcasts, measured only — stamps rounds 0..5
+        // with large per-link bit counts.
+        exec_with_workspace(
+            &g,
+            &EngineConfig::default(),
+            &params,
+            &mut ws,
+            &mut |_| Talk { payload: vec![7; 100], ttl: 5 },
+            |_| {},
+        )
+        .unwrap();
+        // Job B: one small message per link per round, enforced at
+        // exactly that size — any leak of job A's counters trips it.
+        let cfg_b = EngineConfig {
+            bandwidth: BandwidthPolicy::Enforce { bits: small_bits },
+            ..EngineConfig::default()
+        };
+        let reused = exec_with_workspace(
+            &g,
+            &cfg_b,
+            &params,
+            &mut ws,
+            &mut |_| Talk { payload: vec![7], ttl: 5 },
+            |_| {},
+        )
+        .unwrap_or_else(|e| panic!("stale load counters leaked into job B: {e}"));
+        let fresh = run(&g, &cfg_b, |_| Talk { payload: vec![7], ttl: 5 }).unwrap();
+        assert_eq!(reused.report.per_round, fresh.report.per_round);
+        for r in &reused.report.per_round {
+            assert!(r.max_link_bits <= small_bits, "{r:?}");
         }
     }
 
-    /// Lanes addressed to a halted node must be reset by their receiver:
-    /// if the drop left counters behind, the sender's per-link load
-    /// would accumulate across arena swaps and spuriously trip
-    /// enforcement. Run with the cap at exactly one message per link to
+    /// Traffic addressed to a halted node must not leave counters
+    /// behind: if it did, the sender's per-link load would accumulate
+    /// across inbox swaps and spuriously trip enforcement. Run with the cap at exactly one message per link to
     /// prove counters start from zero every round.
     #[test]
     fn halted_receiver_lanes_reset_counters() {
@@ -1523,20 +1143,20 @@ mod tests {
             bandwidth: BandwidthPolicy::Enforce { bits: msg_bits },
             ..EngineConfig::default()
         };
-        // Node 0 halts immediately; node 1 keeps sending into node 0's
-        // (now receiver-less) lane for 5 more rounds.
+        // Node 0 halts immediately; node 1 keeps sending to node 0 (now
+        // a receiver that never reads) for 5 more rounds.
         let out =
             run(&g, &cfg, |init| TalkThenQuit { quit_round: if init.index == 0 { 0 } else { 5 } })
                 .unwrap();
         assert!(out.report.all_halted);
         for r in &out.report.per_round {
-            assert!(r.max_link_bits <= msg_bits, "stale lane counters: {r:?}");
+            assert!(r.max_link_bits <= msg_bits, "stale link counters: {r:?}");
         }
     }
 
     /// The broadcast slot is double-buffered: a broadcast evicts the
-    /// payload this sender parked two rounds earlier (same arena
-    /// generation), on every sink mode.
+    /// payload this sender parked two rounds earlier (same inbox
+    /// generation), on both sink modes.
     #[test]
     fn broadcast_evicts_the_two_round_old_payload() {
         struct SlotProbe {
@@ -1563,15 +1183,13 @@ mod tests {
             }
         }
         let g = path_graph(5);
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            for record_rounds in [true, false] {
-                let cfg = EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
-                let out = run(&g, &cfg, |_| SlotProbe { ttl: 6, evictions: Vec::new() }).unwrap();
-                for ev in &out.verdicts {
-                    let expect: Vec<Option<u64>> =
-                        (0u64..6).map(|r| if r < 2 { None } else { Some(r - 2 + 1000) }).collect();
-                    assert_eq!(ev, &expect, "{exec:?} record_rounds={record_rounds}");
-                }
+        for record_rounds in [true, false] {
+            let cfg = EngineConfig { record_rounds, ..EngineConfig::default() };
+            let out = run(&g, &cfg, |_| SlotProbe { ttl: 6, evictions: Vec::new() }).unwrap();
+            for ev in &out.verdicts {
+                let expect: Vec<Option<u64>> =
+                    (0u64..6).map(|r| if r < 2 { None } else { Some(r - 2 + 1000) }).collect();
+                assert_eq!(ev, &expect, "record_rounds={record_rounds}");
             }
         }
     }
@@ -1602,32 +1220,28 @@ mod tests {
                 self.got.clone()
             }
         }
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            for record_rounds in [true, false] {
-                let g = path_graph(3);
-                let cfg = EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
-                let out = run(&g, &cfg, |_| DoubleTalk { got: Vec::new() }).unwrap();
-                // Node 1 hears 1,2,3 from node 0 (port 0) then 1,2,3 from
-                // node 2 — except node 2's port 0 is node 1, so node 2's
-                // send(0, 3) also lands here.
-                assert_eq!(
-                    out.verdicts[1],
-                    vec![(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)],
-                    "{exec:?} record_rounds={record_rounds}"
-                );
-                if record_rounds {
-                    // Degrees 1,2,1: broadcasts send 2·(1+2+1) = 8, plus 3
-                    // targeted sends.
-                    assert_eq!(out.report.per_round[0].messages, 11);
-                }
+        for record_rounds in [true, false] {
+            let g = path_graph(3);
+            let cfg = EngineConfig { record_rounds, ..EngineConfig::default() };
+            let out = run(&g, &cfg, |_| DoubleTalk { got: Vec::new() }).unwrap();
+            // Node 1 hears 1,2,3 from node 0 (port 0) then 1,2,3 from
+            // node 2 — except node 2's port 0 is node 1, so node 2's
+            // send(0, 3) also lands here.
+            assert_eq!(
+                out.verdicts[1],
+                vec![(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)],
+                "record_rounds={record_rounds}"
+            );
+            if record_rounds {
+                // Degrees 1,2,1: broadcasts send 2·(1+2+1) = 8, plus 3
+                // targeted sends.
+                assert_eq!(out.report.per_round[0].messages, 11);
             }
         }
     }
 
-    /// Broadcast payloads are stored once per sender; receivers of the
-    /// same broadcast observe the identical shared payload (same
-    /// address) on the lane path, while accounting still charges every
-    /// link the full message size.
+    /// Broadcast payloads are stored once per sender, while accounting
+    /// still charges every link the full message size.
     #[test]
     fn broadcast_accounting_charges_every_link() {
         struct WideTalker;
@@ -1652,14 +1266,11 @@ mod tests {
         let g = GraphBuilder::new(4).edges([(0, 1), (0, 2), (0, 3)]).build().unwrap();
         let params = WireParams::for_graph(&g);
         let one = vec![7u64; 5].wire_bits(&params);
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            let cfg = EngineConfig { executor: exec, ..EngineConfig::default() };
-            let out = run(&g, &cfg, |_| WideTalker).unwrap();
-            // 4 nodes broadcast: degrees 3,1,1,1 → 6 messages, each a
-            // full payload on its own link.
-            assert_eq!(out.report.per_round[0].messages, 6, "{exec:?}");
-            assert_eq!(out.report.per_round[0].bits, 6 * one);
-            assert_eq!(out.report.per_round[0].max_link_bits, one);
-        }
+        let out = run(&g, &EngineConfig::default(), |_| WideTalker).unwrap();
+        // 4 nodes broadcast: degrees 3,1,1,1 → 6 messages, each a full
+        // payload on its own link.
+        assert_eq!(out.report.per_round[0].messages, 6);
+        assert_eq!(out.report.per_round[0].bits, 6 * one);
+        assert_eq!(out.report.per_round[0].max_link_bits, one);
     }
 }

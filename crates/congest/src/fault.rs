@@ -30,7 +30,7 @@
 //!
 //! Every decision is a pure function of the message coordinate
 //! (round, sender, receiver, port) and the plan's seeds — never of
-//! execution order — so sequential and parallel executors stay
+//! execution order — so the in-process and partitioned executors stay
 //! bit-identical under any plan. The Gilbert–Elliott chain keeps this
 //! property via a backward coupling: each round's per-link coin `u`
 //! partitions `[0,1)` into a constant-Bad region `[0, p_enter)`, an

@@ -15,8 +15,8 @@
 //! * [`session`] — the composable entry point: a [`session::Session`]
 //!   bundles graph + config + wire parameters and recycles its engine
 //!   workspace across runs;
-//! * [`engine`] — the synchronous executor (sequential reference and
-//!   rayon-parallel implementations with identical semantics), bandwidth
+//! * [`engine`] — the synchronous in-process executor (one thread,
+//!   per-receiver inboxes, fused wire accounting), bandwidth
 //!   enforcement, and verdict collection;
 //! * [`message`] — wire-size accounting (`O(log n)`-bit budgeting and
 //!   CONGEST-normalized round costs) and the pluggable

@@ -33,13 +33,15 @@ pub struct RunReport {
     /// True if the run ended because every node halted (as opposed to
     /// hitting the round cap).
     pub all_halted: bool,
-    /// Executor that produced the run (`"sequential"` / `"parallel"`),
-    /// recorded so measurement records can label entries honestly.
+    /// Executor that produced the run (`"sequential"` /
+    /// `"distributed"`), recorded so measurement records can label
+    /// entries honestly.
     /// Never part of any cross-executor equality check — the *contents*
     /// of the report are executor-independent by the determinism
     /// contract.
     pub executor: &'static str,
-    /// Worker threads the executor could use (1 for sequential).
+    /// Worker threads or processes the executor used (1 for
+    /// sequential).
     pub threads: usize,
     /// Per-round statistics.
     pub per_round: Vec<RoundStats>,
@@ -48,7 +50,7 @@ pub struct RunReport {
     /// decisions are pure functions of message coordinates.
     pub faults: FaultReport,
     /// Transport-layer record of a distributed run (`None` for the
-    /// in-process executors). Unlike every other field this one is
+    /// in-process executor). Unlike every other field this one is
     /// executor-*dependent* by design — it describes the transport,
     /// not the computation — and is excluded from cross-executor
     /// equality checks.

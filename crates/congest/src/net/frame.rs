@@ -17,7 +17,7 @@
 //! ```
 //!
 //! `receiver`/`port` address the delivery (the receiver-side local
-//! port, exactly the label the engine's lanes carry); `ctx` ships the
+//! port, exactly the label the engine's inboxes carry); `ctx` ships the
 //! receiver-side codec state of the
 //! [`crate::message::ContextCodec`] handshake (for `CkCodec`, the
 //! Phase-2 sequence length); `bit_len` is the message's exact
@@ -356,7 +356,7 @@ impl FrameReader {
 pub struct MsgHeader {
     /// Receiving node (global index).
     pub receiver: u32,
-    /// Receiver-side local port — the delivery label the engine lanes
+    /// Receiver-side local port — the delivery label the engine inboxes
     /// carry.
     pub port: u32,
     /// Receiver-side codec context ([`crate::message::ContextCodec`]).

@@ -46,7 +46,7 @@ pub fn partition_range(n: usize, workers: u32, worker: u32) -> Range<NodeIndex> 
 
 /// One cross-partition delivery: the engine message bound for `port`
 /// of `receiver`, already past the fault plan (drops are absent,
-/// corruption is resolved) — exactly what an in-process lane would
+/// corruption is resolved) — exactly what an in-process inbox would
 /// hold.
 #[derive(Clone, Debug)]
 pub struct OutFrame<M> {
@@ -72,8 +72,8 @@ pub struct RoundDigest {
     pub max_link_messages: u64,
     /// Nodes that transitioned `Running → Halted` this round.
     pub halted: u32,
-    /// First (by node index) lane that exceeded an enforced budget:
-    /// `(sender, port, end-of-round lane bits)`.
+    /// First (by node index) link that exceeded an enforced budget:
+    /// `(sender, port, end-of-round link bits)`.
     pub violation: Option<(NodeIndex, u32, u64)>,
     /// Per-kind drop counters, indexed by
     /// [`crate::fault::DropKind::index`].
@@ -285,13 +285,10 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         let WireFlags { check_faults, limit, account, heavy } = self.wf;
         let mode = if heavy { SinkMode::HeavyInbox } else { SinkMode::FastInbox };
         let ctx = SinkCtx {
-            // The inbox sinks never read receiver traffic hints.
-            dirty: std::ptr::NonNull::dangling().as_ptr(),
             params: &self.params,
             faults: &self.config.faults,
             check_faults,
             account,
-            heavy,
             limit,
             round,
             stamp: self.loads.stamp_for(round),
@@ -326,7 +323,7 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
                 Outbox::direct(
                     lanes.len() as u32,
                     DirectSink {
-                        lanes: self.next.base_ptr(),
+                        inboxes: self.next.base_ptr(),
                         slots: self.next.slots_ptr(),
                         receivers: self.graph.neighbors(v).as_ptr(),
                         rev_ports: self.graph.rev_ports_row(v).as_ptr(),

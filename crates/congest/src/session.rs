@@ -3,10 +3,10 @@
 //!
 //! A `Session` bundles graph + [`EngineConfig`] + optional pinned
 //! [`WireParams`], with the [`EngineWorkspace`] owned *inside* the
-//! session so the fast path (arena/load-table/slot-array reuse across
+//! session so the fast path (inbox/load-table/slot-array reuse across
 //! runs) is the default rather than an expert opt-in. Repeated
 //! [`Session::run`] calls on the same session allocate nothing once
-//! the first run has warmed the arenas.
+//! the first run has warmed the inboxes.
 //!
 //! A reused session is bit-identical to a fresh one by the engine's
 //! workspace-reset contract (a reset workspace is observationally a
@@ -47,7 +47,7 @@ impl<'g, M: WireMessage> SessionBuilder<'g, M> {
         self
     }
 
-    /// Selects the executor ([`Executor::Parallel`] by default).
+    /// Selects the executor ([`Executor::Sequential`] by default).
     pub fn executor(mut self, executor: Executor) -> Self {
         self.config.executor = executor;
         self
@@ -201,9 +201,9 @@ impl<'g, M: WireMessage> Session<'g, M> {
     /// As [`Session::run`], writing the result into a caller-owned
     /// [`RunOutcome`] (reset first, allocations kept) instead of
     /// returning a fresh one. Rotating one outcome buffer through
-    /// repeated runs makes the warm rerun *fully* allocation-free under
-    /// the sequential executor — the claim the `ck_lint::alloc_gate`
-    /// regression tests turn into a CI gate. On error the outcome's
+    /// repeated runs makes the warm rerun *fully* allocation-free — the
+    /// claim the `ck_lint::alloc_gate` regression tests turn into a CI
+    /// gate. On error the outcome's
     /// contents are unspecified.
     pub fn run_into<P, F>(
         &mut self,

@@ -1,10 +1,12 @@
 //! Engine-level property tests: conservation, determinism, accounting,
 //! and fault-plan semantics over random topologies and protocols.
 
-use ck_congest::engine::{BandwidthPolicy, EngineConfig, EngineError, Executor, RunOutcome};
+use ck_congest::engine::{BandwidthPolicy, EngineConfig, EngineError, RunOutcome};
 use ck_congest::fault::FaultPlan;
 use ck_congest::graph::{Graph, GraphBuilder, NodeIndex};
 use ck_congest::message::{WireMessage, WireParams};
+use ck_congest::metrics::RunReport;
+use ck_congest::net::{PartitionEngine, RoundDigest};
 use ck_congest::node::{Inbox, NodeInit, Outbox, Program, Status};
 use ck_congest::session::Session;
 use proptest::prelude::*;
@@ -20,6 +22,51 @@ where
     F: FnMut(NodeInit<'g>) -> P,
 {
     Session::builder(graph).config(config.clone()).build().run(factory)
+}
+
+/// The distributed executor's round loop minus the transport: the graph
+/// split into `workers` [`PartitionEngine`]s stepped in lock-step in
+/// process, cross-partition deliveries routed to their owners, and the
+/// partitions' digests merged into the report as the coordinator does.
+/// Runs without bandwidth enforcement (no violation handling).
+fn run_partitioned<'g, P, F>(
+    graph: &'g Graph,
+    config: &EngineConfig,
+    workers: u32,
+    mut factory: F,
+) -> RunOutcome<P::Verdict>
+where
+    P: Program,
+    F: FnMut(NodeInit<'g>) -> P,
+{
+    let params = WireParams::for_graph(graph);
+    let mut parts: Vec<PartitionEngine<'g, P>> = (0..workers)
+        .map(|w| PartitionEngine::new(graph, config, params, workers, w, &mut factory))
+        .collect();
+    let mut report = RunReport::default();
+    let (mut active, mut round, mut frames) = (graph.n(), 0u32, Vec::new());
+    while round < config.max_rounds && active > 0 {
+        let mut digest = RoundDigest::default();
+        for part in &mut parts {
+            digest = RoundDigest::merge(digest, part.step_round(round, &mut frames));
+        }
+        for f in frames.drain(..) {
+            let owner = parts.iter_mut().find(|p| p.range().contains(&f.receiver)).unwrap();
+            owner.inject(f.receiver, f.port, f.msg).unwrap();
+        }
+        parts.iter_mut().for_each(PartitionEngine::commit_round);
+        active -= digest.halted as usize;
+        digest.add_faults_to(&mut report.faults);
+        if config.record_rounds {
+            report.per_round.push(digest.to_stats(round, active + digest.halted as usize));
+        }
+        round += 1;
+    }
+    report.rounds = round;
+    report.all_halted = active == 0;
+    report.faults.crashed_nodes = config.faults.crashed_by(round, graph.n());
+    let verdicts = parts.iter().flat_map(PartitionEngine::verdicts).collect();
+    RunOutcome { report, verdicts }
 }
 
 /// A protocol that, for `rounds` rounds, sends on each port a counter
@@ -143,21 +190,20 @@ proptest! {
         prop_assert_eq!(sent, 2 * g.m() as u64 * u64::from(rounds));
     }
 
-    /// Executor equivalence on arbitrary graphs and round counts.
+    /// Executor equivalence on arbitrary graphs, round counts and
+    /// worker counts: the in-process engine and the distributed
+    /// executor's partition engines agree.
     #[test]
-    fn executors_equivalent(g in arb_graph(), rounds in 1u32..5) {
-        let mk = |exec| {
-            let cfg = EngineConfig { executor: exec, ..EngineConfig::default() };
-            run(&g, &cfg, |_| Echo { rounds, sent: 0, received: 0 }).unwrap()
-        };
-        let a = mk(Executor::Sequential);
-        let b = mk(Executor::Parallel);
+    fn executors_equivalent(g in arb_graph(), rounds in 1u32..5, workers in 1u32..5) {
+        let cfg = EngineConfig::default();
+        let a = run(&g, &cfg, |_| Echo { rounds, sent: 0, received: 0 }).unwrap();
+        let b = run_partitioned(&g, &cfg, workers, |_| Echo { rounds, sent: 0, received: 0 });
         prop_assert_eq!(a.verdicts, b.verdicts);
         prop_assert_eq!(a.report.per_round, b.report.per_round);
     }
 
-    /// Arena-engine reproducibility under message loss: Sequential and
-    /// Parallel executors must produce identical `RunReport`s and
+    /// Reproducibility under message loss: the in-process engine and the
+    /// partition engines must produce identical `RunReport`s and
     /// verdicts on random graphs when a nontrivial `FaultPlan` (random
     /// loss plus explicit drops) reshapes delivery.
     #[test]
@@ -166,18 +212,16 @@ proptest! {
         rounds in 1u32..5,
         loss_pct in 1u32..60,
         seed in any::<u64>(),
+        workers in 1u32..5,
     ) {
         let faults = FaultPlan::none()
             .random_loss(f64::from(loss_pct) / 100.0, seed)
             .drop_at(0, 0, 0)
             .drop_at(1, 1, 0);
-        let mk = |exec| {
-            let cfg = EngineConfig { executor: exec, faults: faults.clone(), ..EngineConfig::default() };
-            run(&g, &cfg, |_| Echo { rounds, sent: 0, received: 0 }).unwrap()
-        };
-        let a = mk(Executor::Sequential);
-        let b = mk(Executor::Parallel);
-        prop_assert_eq!(a.verdicts, b.verdicts);
+        let cfg = EngineConfig { faults, ..EngineConfig::default() };
+        let a = run(&g, &cfg, |_| Echo { rounds, sent: 0, received: 0 }).unwrap();
+        let b = run_partitioned(&g, &cfg, workers, |_| Echo { rounds, sent: 0, received: 0 });
+        prop_assert_eq!(&a.verdicts, &b.verdicts);
         prop_assert_eq!(a.report.per_round, b.report.per_round);
         prop_assert_eq!(a.report.rounds, b.report.rounds);
         prop_assert_eq!(a.report.all_halted, b.report.all_halted);
@@ -193,13 +237,14 @@ proptest! {
     /// Fault-model v2 executor equivalence: crash-stop, link cuts,
     /// Gilbert–Elliott burst loss, and frame corruption — alone and
     /// composed with the v1 kinds — produce bit-identical verdicts,
-    /// per-round statistics, and fault reports on both executors, with
-    /// heavy broadcast-slot payloads in flight.
+    /// per-round statistics, and fault reports in process and across
+    /// partition engines, with heavy broadcast-slot payloads in flight.
     #[test]
     fn fault_v2_kinds_are_executor_equivalent(
         g in arb_graph(),
         rounds in 2u32..5,
         seed in any::<u64>(),
+        workers in 1u32..5,
     ) {
         let plans = [
             // `arb_graph` always has ≥ 2 nodes; cutting a non-edge is a
@@ -218,12 +263,10 @@ proptest! {
                 .drop_at(0, 0, 0),
         ];
         for faults in plans {
-            let mk = |exec| {
-                let cfg = EngineConfig { executor: exec, faults: faults.clone(), ..EngineConfig::default() };
-                run(&g, &cfg, |init| HeavyGossip { id: init.id, rounds, digest: 0, evictions: 0 }).unwrap()
-            };
-            let a = mk(Executor::Sequential);
-            let b = mk(Executor::Parallel);
+            let cfg = EngineConfig { faults: faults.clone(), ..EngineConfig::default() };
+            let gossip = |init: NodeInit<'_>| HeavyGossip { id: init.id, rounds, digest: 0, evictions: 0 };
+            let a = run(&g, &cfg, gossip).unwrap();
+            let b = run_partitioned(&g, &cfg, workers, gossip);
             prop_assert_eq!(&a.verdicts, &b.verdicts, "{:?}", faults);
             prop_assert_eq!(&a.report.per_round, &b.report.per_round, "{:?}", faults);
             prop_assert_eq!(&a.report.faults, &b.report.faults, "{:?}", faults);
@@ -287,28 +330,25 @@ proptest! {
         prop_assert_eq!(out.report.faults.total_dropped(), 0);
     }
 
-    /// The counter-free fast paths (taken when round recording is off)
-    /// must deliver exactly what the accounted path delivers, on both
-    /// executors.
+    /// The counter-free fast path (taken when round recording is off)
+    /// must deliver exactly what the accounted path delivers.
     #[test]
     fn fast_paths_equivalent_to_accounted(g in arb_graph(), rounds in 1u32..5) {
-        let mk = |exec, record_rounds| {
-            let cfg = EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
+        let mk = |record_rounds| {
+            let cfg = EngineConfig { record_rounds, ..EngineConfig::default() };
             run(&g, &cfg, |_| Echo { rounds, sent: 0, received: 0 }).unwrap()
         };
-        let reference = mk(Executor::Sequential, true);
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            let fast = mk(exec, false);
-            prop_assert_eq!(&fast.verdicts, &reference.verdicts, "{:?}", exec);
-            prop_assert_eq!(fast.report.rounds, reference.report.rounds);
-            prop_assert_eq!(fast.report.all_halted, reference.report.all_halted);
-            prop_assert!(fast.report.per_round.is_empty());
-        }
+        let reference = mk(true);
+        let fast = mk(false);
+        prop_assert_eq!(&fast.verdicts, &reference.verdicts);
+        prop_assert_eq!(fast.report.rounds, reference.report.rounds);
+        prop_assert_eq!(fast.report.all_halted, reference.report.all_halted);
+        prop_assert!(fast.report.per_round.is_empty());
     }
 
-    /// Broadcast-slot equivalence under heavy payloads: the four sink
-    /// paths (accounted/fast × lanes/inbox) must deliver bit-identical
-    /// content in bit-identical order, including under a nontrivial
+    /// Broadcast-slot equivalence under heavy payloads: both sink paths
+    /// (accounted and fast) must deliver bit-identical content in
+    /// bit-identical order, including under a nontrivial
     /// fault plan, and the slot must recycle (every node that keeps
     /// broadcasting sees evictions from round 2 on).
     #[test]
@@ -323,11 +363,11 @@ proptest! {
         } else {
             FaultPlan::none().random_loss(f64::from(loss_pct) / 100.0, seed).drop_at(1, 0, 0)
         };
-        let mk = |exec, record_rounds| {
-            let cfg = EngineConfig { executor: exec, record_rounds, faults: faults.clone(), ..EngineConfig::default() };
+        let mk = |record_rounds| {
+            let cfg = EngineConfig { record_rounds, faults: faults.clone(), ..EngineConfig::default() };
             run(&g, &cfg, |init| HeavyGossip { id: init.id, rounds, digest: 0, evictions: 0 }).unwrap()
         };
-        let reference = mk(Executor::Sequential, true);
+        let reference = mk(true);
         // Faults drop deliveries, never broadcasts: the slot still parks
         // a payload every round, so every connected node sees evictions
         // from round 2 on (isolated nodes never park — broadcast to
@@ -336,16 +376,9 @@ proptest! {
             let expect = if g.degree(v as NodeIndex) > 0 { u64::from(rounds) - 2 } else { 0 };
             prop_assert_eq!(verdict.1, expect, "node {}", v);
         }
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            for record_rounds in [true, false] {
-                let out = mk(exec, record_rounds);
-                prop_assert_eq!(&out.verdicts, &reference.verdicts, "{:?} record={}", exec, record_rounds);
-                prop_assert_eq!(out.report.rounds, reference.report.rounds);
-                if record_rounds {
-                    prop_assert_eq!(&out.report.per_round, &reference.report.per_round);
-                }
-            }
-        }
+        let fast = mk(false);
+        prop_assert_eq!(&fast.verdicts, &reference.verdicts);
+        prop_assert_eq!(fast.report.rounds, reference.report.rounds);
     }
 
     /// Fault semantics: with full loss nothing is received but everything

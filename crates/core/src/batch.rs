@@ -5,20 +5,19 @@
 //! The paper's experimental claims are statements over instance
 //! families — reject rates across dozens of planted ε-far graphs,
 //! trials × seeds per `(k, n)` cell — and a naive loop pays full engine
-//! setup (arenas, load table, per-node tester buffers) for every single
+//! setup (inboxes, load table, per-node tester buffers) for every single
 //! run. `TesterSession::test_batch` amortizes that across the batch:
 //! jobs are sharded contiguously over the thread pool, each shard drives its
 //! jobs through one [`EngineWorkspace`] + [`TesterScratch`] pair that
 //! is cleared and re-sized between jobs (never reallocated when the
 //! next graph fits), and the per-job [`TesterRun`]s come back in input
-//! order, **bit-identical** to one-by-one single-shot runs under
-//! the sequential executor.
+//! order, **bit-identical** to one-by-one single-shot runs.
 //!
 //! Within a shard, jobs execute under `Executor::Sequential` regardless
 //! of the template config: the parallelism budget is spent *across*
-//! graphs (the sweeps' natural grain), not inside each small run, and
-//! nesting the scoped-thread executor inside shard threads would
-//! oversubscribe the pool. By the engine's determinism contract this
+//! graphs (the sweeps' natural grain), one thread per shard, and a
+//! distributed template would spawn a worker set per job. Every
+//! executor reproduces the sequential oracle bit for bit, so this
 //! changes no observable output except the report's executor label.
 
 use crate::msg::CkMsg;

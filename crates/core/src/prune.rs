@@ -233,7 +233,8 @@ pub fn prune(kind: PrunerKind, seqs: &[IdSeq], k: usize, t: usize) -> Vec<usize>
 /// (one per node program; every field keeps its capacity across rounds).
 #[derive(Debug, Default)]
 pub struct SendSetScratch {
-    /// Canonicalized received collection (filtered, sorted, deduped).
+    /// The received collection minus sequences containing `myid`
+    /// (sorted and deduplicated, as the input).
     filtered: Vec<IdSeq>,
     /// Accepted indices into `filtered`.
     accepted: Vec<usize>,
@@ -242,12 +243,16 @@ pub struct SendSetScratch {
 }
 
 /// Full per-round send-set construction (Instructions 11–24) into a
-/// caller-provided buffer: canonicalize the received collection (set
-/// semantics: sort + dedup), drop sequences containing `myid`
+/// caller-provided buffer: drop sequences containing `myid`
 /// (Instruction 12), prune, and append `myid` (Instruction 24). `out`
 /// (cleared first) receives the sequences to broadcast at round `t`;
 /// with the representative pruner the whole call is allocation-free
 /// once the scratch buffers have warmed up.
+///
+/// `received` must already be canonical — sorted and deduplicated (set
+/// semantics), as both round programs leave their received collection
+/// — so filtering keeps it canonical with no second sort. Checked in
+/// debug builds; [`build_send_set`] canonicalizes arbitrary input.
 pub fn build_send_set_into(
     kind: PrunerKind,
     received: &[IdSeq],
@@ -257,11 +262,14 @@ pub fn build_send_set_into(
     scratch: &mut SendSetScratch,
     out: &mut Vec<IdSeq>,
 ) {
+    debug_assert!(
+        // ck-lint: allow(index-literal, reason = "windows(2) yields exactly-two-element slices")
+        received.windows(2).all(|w| w[0] < w[1]),
+        "build_send_set_into needs a sorted, duplicate-free collection"
+    );
     out.clear();
     scratch.filtered.clear();
     scratch.filtered.extend(received.iter().filter(|s| !s.contains(myid)).copied());
-    scratch.filtered.sort_unstable();
-    scratch.filtered.dedup();
     if scratch.filtered.is_empty() {
         return;
     }
@@ -281,8 +289,9 @@ pub fn build_send_set_into(
     out.extend(scratch.accepted.iter().map(|&i| scratch.filtered[i].appended(myid)));
 }
 
-/// As [`build_send_set_into`], allocating fresh buffers — the
-/// convenience form for one-shot callers and tests.
+/// As [`build_send_set_into`], allocating fresh buffers and first
+/// canonicalizing `received` (sort + dedup), so any collection is
+/// accepted — the convenience form for one-shot callers and tests.
 pub fn build_send_set(
     kind: PrunerKind,
     received: &[IdSeq],
@@ -290,9 +299,12 @@ pub fn build_send_set(
     k: usize,
     t: usize,
 ) -> Vec<IdSeq> {
+    let mut canonical = received.to_vec();
+    canonical.sort_unstable();
+    canonical.dedup();
     let mut scratch = SendSetScratch::default();
     let mut out = Vec::new();
-    build_send_set_into(kind, received, myid, k, t, &mut scratch, &mut out);
+    build_send_set_into(kind, &canonical, myid, k, t, &mut scratch, &mut out);
     out
 }
 

@@ -241,7 +241,7 @@ impl TesterSession {
     /// caller-owned [`TesterRun`] (reset in place, allocations kept)
     /// instead of returning a fresh one. Rotating one run buffer
     /// through repeated tests makes the warm accept-path rerun fully
-    /// allocation-free under the sequential executor — the claim the
+    /// allocation-free under the in-process executor — the claim the
     /// `ck_lint::alloc_gate` regression tests turn into a CI gate. On
     /// error the run's contents are unspecified.
     pub fn test_into(&mut self, g: &Graph, run: &mut TesterRun) -> Result<(), EngineError> {
@@ -251,7 +251,7 @@ impl TesterSession {
     /// Runs a family of jobs through the sharded batch runner (one
     /// engine workspace + scratch pool per shard; results in input
     /// order, bit-identical to one-by-one [`test`](TesterSession::test)
-    /// calls under the sequential executor). `shards = None` uses the
+    /// calls). `shards = None` uses the
     /// thread pool's width.
     ///
     /// Batches are heterogeneous by design (sweeps mix `k`/`ε`/seeds

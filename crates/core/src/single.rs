@@ -226,7 +226,6 @@ pub fn detect_ck_through_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ck_congest::engine::Executor;
     use ck_graphgen::basic::{cycle, figure1, petersen, theta};
     use ck_graphgen::farness::{has_ck_through_edge, is_valid_ck};
 
@@ -335,22 +334,6 @@ mod tests {
                 .unwrap();
                 assert_eq!(a.reject, b.reject, "k={k} e={e:?}");
                 assert_eq!(a.outcome.report.total_messages(), b.outcome.report.total_messages());
-            }
-        }
-    }
-
-    #[test]
-    fn executors_agree() {
-        let g = petersen();
-        for k in [5usize, 6] {
-            for &e in g.edges() {
-                let mut cfg =
-                    EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() };
-                let a = detect_ck_through_edge(&g, k, e, PrunerKind::Representative, &cfg).unwrap();
-                cfg.executor = Executor::Parallel;
-                let b = detect_ck_through_edge(&g, k, e, PrunerKind::Representative, &cfg).unwrap();
-                assert_eq!(a.reject, b.reject);
-                assert_eq!(a.outcome.report.per_round, b.outcome.report.per_round);
             }
         }
     }

@@ -16,7 +16,7 @@
 //!   ranks are ≥ 1) and the absorb pass's `EdgeTag`/payload-location
 //!   lanes (at most one Phase-2 message per port per round under
 //!   CONGEST). Neighbors in the CSR order are adjacent in memory, so the
-//!   parallel executor's contiguous node chunks stream these lanes.
+//!   engine's ascending node loop streams these lanes.
 //! * **node-major (header array)** — buffers whose per-node size is
 //!   dynamic (Lemma 3 bounds send sets by `(k-t+1)^{t-1}`, astronomically
 //!   large near `MAX_K`, so static slabs are ruled out): the
@@ -24,13 +24,11 @@
 //!   `Vec` backings, but the *headers* live contiguously in one arena
 //!   array, as do the per-node payload pools (whose `outstanding`
 //!   accounting is per-node state in the verdict).
-//! * **chunk-shared** — the prune and collision-scan workspaces are
-//!   per-round temporaries cleared at the start of every use, so nodes
-//!   that provably step on the same executor thread share one: the arena
-//!   allocates one per contiguous chunk of the
-//!   [`ck_congest::engine::node_step_plan`] snapshot the tester pins on
-//!   the run, instead of one per node. These are the two largest
-//!   scratch objects, so sharing them is most of the footprint win.
+//! * **shared** — the prune and collision-scan workspaces are per-step
+//!   temporaries cleared at the start of every use, and the engine steps
+//!   one node at a time, so every node shares a single instance of each
+//!   instead of owning one. These are the two largest scratch objects,
+//!   so sharing them is most of the footprint win.
 //!
 //! A warm `SoaArena::prepare` performs zero heap operations for a
 //! same-shape rerun — the contract `tests/alloc_gate.rs` pins down.
@@ -82,12 +80,10 @@ pub struct SoaArena {
     send_buf: Vec<Vec<IdSeq>>,
     /// Per-node payload pools (outstanding accounting is per-node).
     pools: Vec<SeqPool>,
-    /// Chunk-shared pruner workspaces (one per executor chunk).
-    chunk_prune: Vec<SendSetScratch>,
-    /// Chunk-shared collision-scan workspaces (one per executor chunk).
-    chunk_scan: Vec<ScanScratch>,
-    /// The executor partition's chunk length this arena was prepared for.
-    chunk_len: usize,
+    /// The pruner workspace every node shares.
+    prune: SendSetScratch,
+    /// The collision-scan workspace every node shares.
+    scan: ScanScratch,
     /// The base-pointer table, refreshed by [`SoaArena::bases`]; views
     /// hold one pointer to this field instead of an 80-byte copy each,
     /// keeping the engine's per-node slots small.
@@ -96,15 +92,10 @@ pub struct SoaArena {
 
 impl SoaArena {
     /// Sizes and clears the arena for a run on `g`: CSR offsets rebuilt,
-    /// lanes zeroed, node-major headers cleared (backings kept), pools'
-    /// accounting reset, and chunk-shared scratch sized for `chunk_len`
-    /// elements per executor chunk. The caller passes the chunk length
-    /// of the *same* plan snapshot it pins on the run (parallel:
-    /// [`ck_congest::engine::node_step_plan`] via
-    /// `EngineWorkspace::pin_node_chunk_plan`; sequential: one chunk of
-    /// `n`), so the scratch layout and the executing partition agree by
-    /// construction. Warm same-shape calls allocate nothing.
-    pub(crate) fn prepare(&mut self, g: &Graph, chunk_len: usize) {
+    /// lanes zeroed, node-major headers cleared (backings kept), and
+    /// pools' accounting reset. The shared scratch needs no preparation
+    /// (every use clears it). Warm same-shape calls allocate nothing.
+    pub(crate) fn prepare(&mut self, g: &Graph) {
         let n = g.n();
         let lanes = g.num_directed_edges();
         self.port_off.clear();
@@ -129,10 +120,6 @@ impl SoaArena {
             self.send_buf[v].clear();
             self.pools[v].reset_accounting();
         }
-        self.chunk_len = chunk_len.max(1);
-        let chunks = n.div_ceil(self.chunk_len).max(1);
-        self.chunk_prune.resize_with(chunks, SendSetScratch::default);
-        self.chunk_scan.resize_with(chunks, ScanScratch::default);
     }
 
     /// Refreshes and returns the arena's base-pointer table, for
@@ -150,9 +137,8 @@ impl SoaArena {
             recv: self.recv.as_mut_ptr(),
             send_buf: self.send_buf.as_mut_ptr(),
             pools: self.pools.as_mut_ptr(),
-            chunk_prune: self.chunk_prune.as_mut_ptr(),
-            chunk_scan: self.chunk_scan.as_mut_ptr(),
-            chunk_len: self.chunk_len,
+            prune: &mut self.prune,
+            scan: &mut self.scan,
         };
         &self.bases
     }
@@ -172,9 +158,8 @@ pub(crate) struct SoaBases {
     recv: *mut Vec<IdSeq>,
     send_buf: *mut Vec<IdSeq>,
     pools: *mut SeqPool,
-    chunk_prune: *mut SendSetScratch,
-    chunk_scan: *mut ScanScratch,
-    chunk_len: usize,
+    prune: *mut SendSetScratch,
+    scan: *mut ScanScratch,
 }
 
 // SAFETY: the pointers target a prepared arena that outlives the run;
@@ -194,9 +179,8 @@ impl Default for SoaBases {
             recv: std::ptr::null_mut(),
             send_buf: std::ptr::null_mut(),
             pools: std::ptr::null_mut(),
-            chunk_prune: std::ptr::null_mut(),
-            chunk_scan: std::ptr::null_mut(),
-            chunk_len: 1,
+            prune: std::ptr::null_mut(),
+            scan: std::ptr::null_mut(),
         }
     }
 }
@@ -211,23 +195,14 @@ impl Default for SoaBases {
 /// * `bases` targets the `bases` field of a prepared [`SoaArena`] that
 ///   neither moves nor is otherwise accessed until the last view drops
 ///   ([`SoaArena::bases`]'s contract).
-/// * `node < n`, `off..off + deg` is node `node`'s CSR lane range, and
-///   `chunk = node / chunk_len` — all fixed at construction from the
-///   prepared arena's own tables.
+/// * `node < n` and `off..off + deg` is node `node`'s CSR lane range —
+///   both fixed at construction from the prepared arena's own tables.
 /// * Per-node regions are disjoint across views: lane slices by CSR
 ///   construction, node-major headers and pools by index.
-/// * The chunk-shared prune/scan scratch is aliased only by views whose
-///   nodes step on the same executor thread: the tester captures one
-///   [`ck_congest::engine::node_step_plan`] snapshot, sizes this
-///   arena's scratch from its `chunk_len` (`prepare`), and pins the
-///   very same snapshot on the run
-///   (`EngineWorkspace::pin_node_chunk_plan`), so the executing
-///   partition — contiguous chunks of exactly `chunk_len` nodes — and
-///   the scratch layout agree by construction for the whole run, even
-///   if the forced-worker state mutates concurrently. The sequential
-///   executor is one thread with one chunk. Within a thread, at most
-///   one `bufs()` borrow is live at a time (`&mut self` methods of one
-///   program).
+/// * The shared prune/scan scratch is aliased by every view, but only
+///   ever borrowed by the one node stepping: the engine steps the nodes
+///   of a run one at a time on one thread, and within a step at most
+///   one `bufs()` borrow is live (`&mut self` methods of one program).
 /// * The arena is dormant for the whole run: no `&`/`&mut` to it is
 ///   formed between `bases()` and the last program drop.
 pub(crate) struct SoaView {
@@ -235,12 +210,12 @@ pub(crate) struct SoaView {
     node: u32,
     off: u32,
     deg: u32,
-    chunk: u32,
 }
 
-// SAFETY: a view crossing threads carries only raw pointers whose
-// reachable regions are disjoint from every other view's (invariants
-// above); the chunk-shared scratch crosses with the whole chunk.
+// SAFETY: views only cross threads with the whole run (a batch shard
+// moves its session, arena and programs together), never while a
+// `bufs()` borrow is live; every view of a run stays on the thread
+// stepping that run (invariants above).
 unsafe impl Send for SoaView {}
 
 impl SoaView {
@@ -251,17 +226,11 @@ impl SoaView {
         // SAFETY: `bases` was just returned by `SoaArena::bases` on the
         // prepared arena, `prepare` sized `port_off` to n + 1 entries,
         // and the factory only passes `index < n`.
-        let (b, off, end) = unsafe {
+        let (off, end) = unsafe {
             let b = &*bases;
-            (b, *b.port_off.add(index), *b.port_off.add(index + 1))
+            (*b.port_off.add(index), *b.port_off.add(index + 1))
         };
-        SoaView {
-            bases,
-            node: index as u32,
-            off,
-            deg: end - off,
-            chunk: (index / b.chunk_len.max(1)) as u32,
-        }
+        SoaView { bases, node: index as u32, off, deg: end - off }
     }
 
     /// The node's payload-pool `outstanding` counter (verdict field).
@@ -278,12 +247,11 @@ impl SoaView {
         // (shared read; only `SoaArena::bases` writes it, before any
         // view exists).
         let b = unsafe { &*self.bases };
-        let (off, deg, node, chunk) =
-            (self.off as usize, self.deg as usize, self.node as usize, self.chunk as usize);
+        let (off, deg, node) = (self.off as usize, self.deg as usize, self.node as usize);
         // SAFETY: all regions are inside the prepared arena (CSR bounds
-        // for the lanes, `node < n` for the headers/pools, chunk count
-        // for the scratch); disjointness and non-aliasing per the type's
-        // invariants; the borrows' lifetime is tied to `&mut self`, so a
+        // for the lanes, `node < n` for the headers/pools, the arena's
+        // own fields for the scratch); disjointness and non-aliasing per
+        // the type's invariants; the borrows' lifetime is tied to `&mut self`, so a
         // second `bufs()` on the same view cannot overlap the first.
         unsafe {
             crate::tester::BufsRef {
@@ -293,8 +261,8 @@ impl SoaView {
                 recv: &mut *b.recv.add(node),
                 send_buf: &mut *b.send_buf.add(node),
                 pool: &mut *b.pools.add(node),
-                prune: &mut *b.chunk_prune.add(chunk),
-                scan: &mut *b.chunk_scan.add(chunk),
+                prune: &mut *b.prune,
+                scan: &mut *b.scan,
             }
         }
     }

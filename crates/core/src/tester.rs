@@ -108,12 +108,12 @@ pub struct TesterConfig {
     /// are genuine by Lemma 1); under frame corruption it restores
     /// 1-sidedness: garbage payloads can no longer fabricate a reject.
     pub verify_witnesses: bool,
-    /// Per-node state layout of the in-process executors (identical
+    /// Per-node state layout of the in-process executor (identical
     /// outputs by construction; `tests/soa_parity.rs` pins it down).
     pub layout: NodeLayout,
 }
 
-/// How the in-process executors lay out per-node tester state.
+/// How the in-process executor lays out per-node tester state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NodeLayout {
     /// Every node owns its ~8 heap buffers ([`NodeScratch`]), recycled
@@ -288,9 +288,10 @@ pub(crate) struct BufsRef<'a> {
     pub(crate) send_buf: &'a mut Vec<IdSeq>,
     /// Recycling pool for outgoing bundle backings.
     pub(crate) pool: &'a mut SeqPool,
-    /// Pruner workspace (chunk-shared under the SoA layout).
+    /// Pruner workspace (shared by every node under the SoA layout).
     pub(crate) prune: &'a mut SendSetScratch,
-    /// Collision-scan workspace (chunk-shared under the SoA layout).
+    /// Collision-scan workspace (shared by every node under the SoA
+    /// layout).
     pub(crate) scan: &'a mut ScanScratch,
 }
 
@@ -768,9 +769,8 @@ pub(crate) fn tester_exec_into(
     tester_exec_inproc(g, cfg, reps, &ecfg, ws, scratch, run)
 }
 
-/// The in-process execution path (sequential or parallel executor)
-/// behind [`tester_exec_into`] — also the graceful-degradation target
-/// of a failed distributed run.
+/// The in-process execution path behind [`tester_exec_into`] — also the
+/// graceful-degradation target of a failed distributed run.
 fn tester_exec_inproc(
     g: &Graph,
     cfg: &TesterConfig,
@@ -804,20 +804,7 @@ fn tester_exec_inproc(
             result?;
         }
         NodeLayout::Soa => {
-            // One node→thread plan snapshot shared between the arena's
-            // chunk-shared scratch and the run itself: sizing and
-            // pinning off the same capture closes the window where a
-            // concurrent forced-worker change could hand two threads
-            // aliased scratch (the partition the engine executes is, by
-            // construction, the one the scratch was laid out for).
-            let parallel = matches!(ecfg.executor, ck_congest::engine::Executor::Parallel);
-            if parallel {
-                let plan = ck_congest::engine::node_step_plan(g.n());
-                scratch.soa.prepare(g, plan.chunk_len);
-                ws.pin_node_chunk_plan(plan);
-            } else {
-                scratch.soa.prepare(g, g.n().max(1));
-            }
+            scratch.soa.prepare(g);
             // The arena stays dormant behind these Copy base pointers
             // for the whole run (`SoaView`'s invariants); nothing needs
             // reclaiming — every buffer a view touched is already owned
@@ -1013,15 +1000,19 @@ mod tests {
         assert!(run.outcome.report.all_halted);
     }
 
+    /// The distributed executor (two in-process worker threads over
+    /// loopback) must reproduce the sequential run bit for bit.
     #[test]
     fn executors_agree_on_full_tester() {
         let inst = eps_far_instance(36, 4, 0.05, 1);
         let cfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(4, 0.05, 9) };
         let mut e = EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() };
         let a = run_tester(&inst.graph, &cfg, &e).unwrap();
-        e.executor = Executor::Parallel;
+        e.executor = Executor::Distributed { workers: 2 };
         let b = run_tester(&inst.graph, &cfg, &e).unwrap();
+        assert!(b.outcome.report.net.as_ref().is_some_and(|n| n.completed_distributed()));
         assert_eq!(a.reject, b.reject);
+        assert_eq!(a.outcome.verdicts, b.outcome.verdicts);
         assert_eq!(a.outcome.report.per_round, b.outcome.report.per_round);
     }
 
@@ -1083,25 +1074,23 @@ mod tests {
     #[test]
     fn payload_pool_never_leaks_across_repetitions() {
         let inst = eps_far_instance(48, 5, 0.05, 2);
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            for reps in [1u32, 8, 25] {
-                let cfg = TesterConfig { repetitions: Some(reps), ..TesterConfig::new(5, 0.05, 3) };
-                let e = EngineConfig { executor: exec, ..EngineConfig::default() };
-                let run = run_tester(&inst.graph, &cfg, &e).unwrap();
-                for (v, verdict) in run.outcome.verdicts.iter().enumerate() {
-                    assert!(
-                        verdict.pool_outstanding <= 2,
-                        "node {v} leaked {} pool buffers over {reps} reps ({exec:?})",
-                        verdict.pool_outstanding
-                    );
-                }
+        for reps in [1u32, 8, 25] {
+            let cfg = TesterConfig { repetitions: Some(reps), ..TesterConfig::new(5, 0.05, 3) };
+            let run = run_tester(&inst.graph, &cfg, &EngineConfig::default()).unwrap();
+            for (v, verdict) in run.outcome.verdicts.iter().enumerate() {
+                assert!(
+                    verdict.pool_outstanding <= 2,
+                    "node {v} leaked {} pool buffers over {reps} reps",
+                    verdict.pool_outstanding
+                );
             }
         }
     }
 
     /// Heavy pooled payloads through the broadcast-slot path must stay
-    /// bit-identical across executors even when a nontrivial fault plan
-    /// reshapes both Phase-1 rank delivery and Phase-2 bundles.
+    /// bit-identical between the sequential and distributed executors
+    /// even when a nontrivial fault plan reshapes both Phase-1 rank
+    /// delivery and Phase-2 bundles.
     #[test]
     fn executors_agree_under_faults_with_pooled_payloads() {
         use ck_congest::fault::FaultPlan;
@@ -1117,8 +1106,9 @@ mod tests {
                 ..EngineConfig::default()
             };
             let a = run_tester(&inst.graph, &cfg, &e).unwrap();
-            e.executor = Executor::Parallel;
+            e.executor = Executor::Distributed { workers: 2 };
             let b = run_tester(&inst.graph, &cfg, &e).unwrap();
+            assert!(b.outcome.report.net.as_ref().is_some_and(|n| n.completed_distributed()));
             assert_eq!(a.reject, b.reject);
             let digest = |r: &TesterRun| {
                 r.outcome

@@ -9,7 +9,7 @@
 //! | `safety-comment` | auditability of the arena engine's `unsafe` aliasing contracts |
 //! | `no-panic` | the panic-free library surface (`ckserve` north star) |
 //! | `index-literal` | same — a literal index is a latent panic site |
-//! | `determinism` | the sequential ≡ parallel ≡ distributed bit-identity oracle |
+//! | `determinism` | the sequential ≡ distributed bit-identity oracle |
 //! | `bad-allow` | integrity of the suppression mechanism itself |
 //!
 //! Findings are suppressed **only** by an inline
@@ -53,7 +53,7 @@ pub enum Rule {
     /// use wall clocks (`Instant`, `SystemTime`), hash-randomized
     /// collections (`HashMap`, `HashSet`, `RandomState`), or process
     /// environment reads — any of these can silently break the
-    /// sequential ≡ parallel ≡ distributed oracle that every
+    /// sequential ≡ distributed oracle that every
     /// equivalence proptest and the whole bench gate rests on.
     Determinism,
     /// **Meta — `bad-allow`.** A malformed `ck-lint:` suppression

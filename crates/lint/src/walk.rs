@@ -19,8 +19,8 @@ const LIBRARY_CRATES: &[&str] = &["congest", "core", "graphgen", "lint", "serve"
 
 /// File stems that are bit-identity-critical when under `src/`
 /// (see [`crate::rules::Rule::Determinism`]). `soa` is the SoA
-/// node-state arena: its raw-pointer views back both executors, so any
-/// nondeterminism there breaks the seq≡par bit-identity contract.
+/// node-state arena: its raw-pointer views back every in-process tester
+/// run, so any nondeterminism there breaks the bit-identity contract.
 /// `serve` is the probe service's job loop (verdicts must be a pure
 /// function of the submitted job — wall-clock reads there are confined
 /// to reasoned allows for latency histograms and idle-reclaim timers)

@@ -95,11 +95,11 @@ impl Default for ServeOptions {
     }
 }
 
-/// The engine template every pool session runs: the sequential fused
-/// path (bit-identical to the parallel executors, and the layout the
-/// zero-allocation warm-rerun gate is proved on). Exposed so oracles
-/// in tests and benches execute the exact configuration the service
-/// does.
+/// The engine template every pool session runs: the in-process
+/// sequential executor, the fused path the zero-allocation warm-rerun
+/// gate is proved on (concurrency comes from the worker pool, one warm
+/// session per worker). Exposed so oracles in tests and benches
+/// execute the exact configuration the service does.
 pub fn engine_template() -> EngineConfig {
     EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() }
 }

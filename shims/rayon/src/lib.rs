@@ -1,10 +1,11 @@
 //! Offline stand-in for `rayon`.
 //!
 //! The build environment has no crates.io access, so this crate provides
-//! the fragment of rayon's API the workspace uses — `par_iter_mut` /
-//! `par_iter` over slices, `into_par_iter` over integer ranges, and the
-//! `map` / `enumerate` / `for_each` / `collect` adapters — implemented
-//! with `std::thread::scope` over contiguous chunks.
+//! a fragment of rayon's API — `par_chunks_mut` (what the job-sharded
+//! batch runner fans out with), `par_iter_mut` / `par_iter` over
+//! slices, `into_par_iter` over integer ranges, and the `map` /
+//! `enumerate` / `for_each` / `collect` adapters — implemented with
+//! `std::thread::scope` over contiguous chunks.
 //!
 //! Differences from real rayon, by design:
 //!
@@ -18,8 +19,9 @@
 //!   needs.
 //!
 //! Chunks are contiguous and results are reassembled in input order, so
-//! `collect` is order-preserving — the property the round engine's
-//! determinism contract relies on.
+//! `collect` is order-preserving, and `par_chunks_mut` hands every chunk
+//! its global index — the properties the batch runner's input-order
+//! results rely on.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,7 +30,7 @@ use std::sync::OnceLock;
 /// Inputs shorter than this run inline; scoped-thread spawning costs a
 /// few tens of microseconds per call, which only pays off for wide
 /// loops. Call sites whose per-element work is heavier than a trivial
-/// loop body (e.g. a whole CONGEST node step over SoA slices) can lower
+/// loop body (e.g. a whole simulation step per element) can lower
 /// the threshold per call with [`ParIterMut::with_min_len`].
 pub const MIN_PAR_LEN: usize = 4096;
 
@@ -41,14 +43,10 @@ static FORCED_WORKERS: AtomicUsize = AtomicUsize::new(0);
 /// default: the `CK_FORCED_WORKERS` environment value if set, else the
 /// core count). For tests: lets single-core machines and small inputs
 /// exercise the genuinely multi-threaded code paths that callers'
-/// unsafe code (e.g. the round engine's shared arenas) must survive.
+/// code (e.g. the batch runner's per-shard sessions) must survive.
 ///
-/// Call this only **between** runs, never while a parallel computation
-/// is in flight: callers that key external chunk-local state off a
-/// captured [`ChunkPlan`] (the round engine pins one plan per run via
-/// [`ParIterMut::with_chunk_plan`]) prepare that state from the same
-/// forced-worker snapshot, and the engine debug-asserts the snapshot
-/// is still current at every round.
+/// Call this only **between** parallel calls, never while one is in
+/// flight.
 pub fn force_workers_for_tests(n: usize) {
     FORCED_WORKERS.store(n, Ordering::Relaxed);
 }
@@ -82,8 +80,8 @@ fn cores() -> usize {
 
 /// Number of worker threads a wide parallel call will use — the forced
 /// override if set, else the core count. Mirrors rayon's
-/// `current_num_threads` so callers (e.g. benchmark metadata) can
-/// report the parallel executor's width honestly.
+/// `current_num_threads` so callers (e.g. the batch runner sizing its
+/// shards) see the pool width.
 pub fn current_num_threads() -> usize {
     let forced = effective_forced();
     if forced > 0 {
@@ -105,101 +103,36 @@ fn worker_count(len: usize) -> usize {
 /// `workers` scoped threads, each owning one contiguous chunk of
 /// `chunk_len` elements (the last may be shorter), `workers == 1`
 /// meaning the call runs inline on the caller's thread.
-///
-/// This is the **single source of truth** for the shim's element→thread
-/// mapping: [`chunk_plan`] exposes it so callers that share mutable
-/// state per chunk (the round engine's SoA node-state arena keys its
-/// chunk-local scratch off this) partition exactly as the executor
-/// does. `index / chunk_len` is the chunk an element runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkPlan {
-    /// Slice length the plan was computed for.
-    pub len: usize,
-    /// Number of contiguous chunks (== scoped threads when > 1).
-    pub workers: usize,
-    /// Elements per chunk (≥ 1 even for empty slices, so
-    /// `index / chunk_len` is always well-defined).
-    pub chunk_len: usize,
+struct Plan {
+    workers: usize,
+    /// Elements per chunk (≥ 1 even for empty slices).
+    chunk_len: usize,
 }
 
-impl ChunkPlan {
-    /// Number of nonempty chunks the slice actually splits into.
-    pub fn chunks(&self) -> usize {
-        self.len.div_ceil(self.chunk_len).max(1)
-    }
-
-    /// The chunk (and therefore thread) an element index runs on.
-    pub fn chunk_of(&self, index: usize) -> usize {
-        index / self.chunk_len
-    }
-}
-
-/// Pure partition math behind [`chunk_plan`]: injectable inputs so the
-/// mapping is unit-testable on any machine.
-fn plan_for(len: usize, cores: usize, forced: usize, min_len: usize) -> ChunkPlan {
+/// Pure partition math: injectable inputs so the mapping is
+/// unit-testable on any machine.
+fn plan_for(len: usize, cores: usize, forced: usize, min_len: usize) -> Plan {
     let workers = if forced > 0 { forced.min(len.max(1)) } else { cores.min(len) };
     let inline = workers <= 1 || (forced == 0 && len < min_len);
     if inline {
-        ChunkPlan { len, workers: 1, chunk_len: len.max(1) }
+        Plan { workers: 1, chunk_len: len.max(1) }
     } else {
-        ChunkPlan { len, workers, chunk_len: len.div_ceil(workers) }
-    }
-}
-
-/// The partition an element-wise parallel call over `len` items will
-/// use under the default [`MIN_PAR_LEN`] inline threshold.
-pub fn chunk_plan(len: usize) -> ChunkPlan {
-    chunk_plan_with_min_len(len, MIN_PAR_LEN)
-}
-
-/// As [`chunk_plan`], under a caller-chosen inline threshold — pair
-/// with [`ParIterMut::with_min_len`] on the executing call so the plan
-/// and the execution agree.
-pub fn chunk_plan_with_min_len(len: usize, min_len: usize) -> ChunkPlan {
-    plan_for(len, cores(), effective_forced(), min_len)
-}
-
-/// How an element-wise parallel call chooses its partition: recompute
-/// from the current worker state under an inline threshold (the
-/// default), or use a caller-captured [`ChunkPlan`] verbatim.
-#[derive(Clone, Copy)]
-enum Split {
-    /// Recompute [`chunk_plan_with_min_len`]`(len, min_len)` at call
-    /// time from the mutable forced-worker/core state.
-    MinLen(usize),
-    /// Use this exact plan — partitioning is then a pure function of
-    /// the plan, immune to forced-worker changes between calls.
-    Pinned(ChunkPlan),
-}
-
-impl Split {
-    fn plan(self, len: usize) -> ChunkPlan {
-        match self {
-            Split::MinLen(m) => chunk_plan_with_min_len(len, m),
-            Split::Pinned(p) => {
-                assert_eq!(p.len, len, "pinned ChunkPlan was computed for a different length");
-                p
-            }
-        }
+        Plan { workers, chunk_len: len.div_ceil(workers) }
     }
 }
 
 /// Runs `f(start_index, chunk)` over contiguous chunks of `data` on
-/// scoped threads, returning per-chunk outputs in input order. The
-/// partition is exactly `split.plan(data.len())` — for the default
-/// [`Split::MinLen`] that is [`chunk_plan_with_min_len`]`(data.len(),
-/// min_len)`, recomputed now; for [`Split::Pinned`] it is the caller's
-/// captured plan verbatim. Callers synchronizing external chunk-local
-/// state rely on that equality.
+/// scoped threads, partitioned by [`plan_for`] under the `min_len`
+/// inline threshold, returning per-chunk outputs in input order.
 fn run_mut_chunks<T: Send, R: Send>(
     data: &mut [T],
-    inline: bool,
-    split: Split,
+    min_len: usize,
     f: impl Fn(usize, &mut [T]) -> R + Sync,
 ) -> Vec<R> {
     let n = data.len();
-    let plan = split.plan(n);
-    if inline || plan.workers <= 1 {
+    let plan = plan_for(n, cores(), effective_forced(), min_len);
+    if plan.workers <= 1 {
         if n == 0 {
             return Vec::new();
         }
@@ -226,10 +159,10 @@ fn run_inline(workers: usize, len: usize) -> bool {
 /// Order-preserving parallel map over mutable slice elements.
 fn map_mut_indexed<T: Send, R: Send>(
     data: &mut [T],
-    split: Split,
+    min_len: usize,
     f: impl Fn(usize, &mut T) -> R + Sync,
 ) -> Vec<R> {
-    let parts = run_mut_chunks(data, false, split, |base, ch| {
+    let parts = run_mut_chunks(data, min_len, |base, ch| {
         ch.iter_mut().enumerate().map(|(i, t)| f(base + i, t)).collect::<Vec<R>>()
     });
     let mut out = Vec::with_capacity(data.len());
@@ -255,34 +188,17 @@ impl<R> FromParallelVec<R> for Vec<R> {
 /// Parallel iterator over `&mut [T]`.
 pub struct ParIterMut<'a, T> {
     data: &'a mut [T],
-    split: Split,
+    min_len: usize,
 }
 
 impl<'a, T: Send> ParIterMut<'a, T> {
     /// Lowers (or raises) the inline-vs-spawn threshold for this call:
     /// the slice splits across threads whenever `len >= min_len`
     /// (default [`MIN_PAR_LEN`]). Mirrors rayon's `with_min_len` in
-    /// spirit — call sites whose per-element body is heavy (a full
-    /// CONGEST node step) want threads long before 4096 elements.
-    /// Callers coordinating external chunk-local state must compute
-    /// their partition with [`chunk_plan_with_min_len`] using the same
-    /// value.
+    /// spirit — call sites whose per-element body is heavy want
+    /// threads long before 4096 elements.
     pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.split = Split::MinLen(min_len);
-        self
-    }
-
-    /// Pins this call's partition to a caller-captured [`ChunkPlan`]
-    /// (from [`chunk_plan_with_min_len`]): the element→thread mapping
-    /// becomes a pure function of the plan, unaffected by any
-    /// [`force_workers_for_tests`] / `CK_FORCED_WORKERS` change after
-    /// the capture. Callers that key external chunk-local state off a
-    /// plan (the round engine's SoA node-state arena) pass that exact
-    /// plan here, so the executing partition and the state's layout
-    /// provably agree for every call sharing the capture. The plan
-    /// must have been computed for this slice's length.
-    pub fn with_chunk_plan(mut self, plan: ChunkPlan) -> Self {
-        self.split = Split::Pinned(plan);
+        self.min_len = min_len;
         self
     }
 
@@ -291,24 +207,24 @@ impl<'a, T: Send> ParIterMut<'a, T> {
         R: Send,
         F: Fn(&mut T) -> R + Sync,
     {
-        MapMut { data: self.data, split: self.split, f }
+        MapMut { data: self.data, min_len: self.min_len, f }
     }
 
     pub fn enumerate(self) -> EnumerateMut<'a, T> {
-        EnumerateMut { data: self.data, split: self.split }
+        EnumerateMut { data: self.data, min_len: self.min_len }
     }
 
     pub fn for_each<F>(self, f: F)
     where
         F: Fn(&mut T) + Sync,
     {
-        run_mut_chunks(self.data, false, self.split, |_, ch| ch.iter_mut().for_each(&f));
+        run_mut_chunks(self.data, self.min_len, |_, ch| ch.iter_mut().for_each(&f));
     }
 }
 
 pub struct MapMut<'a, T, F> {
     data: &'a mut [T],
-    split: Split,
+    min_len: usize,
     f: F,
 }
 
@@ -320,25 +236,19 @@ impl<'a, T: Send, F> MapMut<'a, T, F> {
         C: FromParallelVec<R>,
     {
         let f = self.f;
-        C::from_parallel_vec(map_mut_indexed(self.data, self.split, |_, t| f(t)))
+        C::from_parallel_vec(map_mut_indexed(self.data, self.min_len, |_, t| f(t)))
     }
 }
 
 pub struct EnumerateMut<'a, T> {
     data: &'a mut [T],
-    split: Split,
+    min_len: usize,
 }
 
 impl<'a, T: Send> EnumerateMut<'a, T> {
     /// See [`ParIterMut::with_min_len`].
     pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.split = Split::MinLen(min_len);
-        self
-    }
-
-    /// See [`ParIterMut::with_chunk_plan`].
-    pub fn with_chunk_plan(mut self, plan: ChunkPlan) -> Self {
-        self.split = Split::Pinned(plan);
+        self.min_len = min_len;
         self
     }
 
@@ -346,7 +256,7 @@ impl<'a, T: Send> EnumerateMut<'a, T> {
     where
         F: Fn((usize, &mut T)) + Sync,
     {
-        run_mut_chunks(self.data, false, self.split, |base, ch| {
+        run_mut_chunks(self.data, self.min_len, |base, ch| {
             ch.iter_mut().enumerate().for_each(|(i, t)| f((base + i, t)));
         });
     }
@@ -356,7 +266,7 @@ impl<'a, T: Send> EnumerateMut<'a, T> {
         R: Send,
         F: Fn((usize, &mut T)) -> R + Sync,
     {
-        EnumerateMapMut { data: self.data, split: self.split, f }
+        EnumerateMapMut { data: self.data, min_len: self.min_len, f }
     }
 
     /// Mirrors rayon's `fold`: each chunk folds its items from a fresh
@@ -368,13 +278,13 @@ impl<'a, T: Send> EnumerateMut<'a, T> {
         ID: Fn() -> R + Sync,
         F: Fn(R, (usize, &mut T)) -> R + Sync,
     {
-        EnumerateFoldMut { data: self.data, split: self.split, identity, fold_op }
+        EnumerateFoldMut { data: self.data, min_len: self.min_len, identity, fold_op }
     }
 }
 
 pub struct EnumerateFoldMut<'a, T, ID, F> {
     data: &'a mut [T],
-    split: Split,
+    min_len: usize,
     identity: ID,
     fold_op: F,
 }
@@ -392,7 +302,7 @@ impl<'a, T: Send, ID, F> EnumerateFoldMut<'a, T, ID, F> {
         OP: Fn(R, R) -> R + Sync,
     {
         let (identity_fn, fold_op) = (&self.identity, &self.fold_op);
-        let parts = run_mut_chunks(self.data, false, self.split, |base, ch| {
+        let parts = run_mut_chunks(self.data, self.min_len, |base, ch| {
             let mut acc = identity_fn();
             for (i, t) in ch.iter_mut().enumerate() {
                 acc = fold_op(acc, (base + i, t));
@@ -405,7 +315,7 @@ impl<'a, T: Send, ID, F> EnumerateFoldMut<'a, T, ID, F> {
 
 pub struct EnumerateMapMut<'a, T, F> {
     data: &'a mut [T],
-    split: Split,
+    min_len: usize,
     f: F,
 }
 
@@ -417,7 +327,7 @@ impl<'a, T: Send, F> EnumerateMapMut<'a, T, F> {
         C: FromParallelVec<R>,
     {
         let f = self.f;
-        C::from_parallel_vec(map_mut_indexed(self.data, self.split, |i, t| f((i, t))))
+        C::from_parallel_vec(map_mut_indexed(self.data, self.min_len, |i, t| f((i, t))))
     }
 
     /// Mirrors rayon's `reduce`: folds chunk-locally from `identity`,
@@ -431,7 +341,7 @@ impl<'a, T: Send, F> EnumerateMapMut<'a, T, F> {
         OP: Fn(R, R) -> R + Sync,
     {
         let f = self.f;
-        let parts = run_mut_chunks(self.data, false, self.split, |base, ch| {
+        let parts = run_mut_chunks(self.data, self.min_len, |base, ch| {
             ch.iter_mut().enumerate().map(|(i, t)| f((base + i, t))).fold(identity(), &op)
         });
         parts.into_iter().fold(identity(), &op)
@@ -623,7 +533,7 @@ macro_rules! impl_range_par {
             {
                 let mut idx: Vec<$t> = (self.start..self.end).collect();
                 let f = self.f;
-                C::from_parallel_vec(map_mut_indexed(&mut idx, Split::MinLen(MIN_PAR_LEN), |_, v| f(*v)))
+                C::from_parallel_vec(map_mut_indexed(&mut idx, MIN_PAR_LEN, |_, v| f(*v)))
             }
         }
 
@@ -666,7 +576,7 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
-        ParIterMut { data: self, split: Split::MinLen(MIN_PAR_LEN) }
+        ParIterMut { data: self, min_len: MIN_PAR_LEN }
     }
 
     fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
@@ -682,7 +592,7 @@ impl<T: Sync> ParallelSlice<T> for Vec<T> {
 
 impl<T: Send> ParallelSliceMut<T> for Vec<T> {
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
-        ParIterMut { data: self, split: Split::MinLen(MIN_PAR_LEN) }
+        ParIterMut { data: self, min_len: MIN_PAR_LEN }
     }
 
     fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
@@ -772,22 +682,15 @@ mod tests {
 
     #[test]
     fn chunk_plan_math() {
-        use crate::plan_for;
+        use crate::{plan_for, Plan};
         // Below the threshold: inline, one logical chunk.
-        assert_eq!(
-            plan_for(100, 8, 0, 4096),
-            crate::ChunkPlan { len: 100, workers: 1, chunk_len: 100 }
-        );
+        assert_eq!(plan_for(100, 8, 0, 4096), Plan { workers: 1, chunk_len: 100 });
         // Above the threshold: ceil-divided contiguous chunks.
-        assert_eq!(
-            plan_for(10_000, 8, 0, 4096),
-            crate::ChunkPlan { len: 10_000, workers: 8, chunk_len: 1250 }
-        );
+        assert_eq!(plan_for(10_000, 8, 0, 4096), Plan { workers: 8, chunk_len: 1250 });
         // A lowered per-call threshold flips the same length to spawn.
-        assert_eq!(plan_for(100, 8, 0, 64).workers, 8);
-        assert_eq!(plan_for(100, 8, 0, 64).chunk_len, 13);
+        assert_eq!(plan_for(100, 8, 0, 64), Plan { workers: 8, chunk_len: 13 });
         // Forced workers bypass the length threshold entirely...
-        assert_eq!(plan_for(10, 1, 4, 4096).workers, 4);
+        assert_eq!(plan_for(10, 1, 4, 4096), Plan { workers: 4, chunk_len: 3 });
         // ...but never exceed the element count.
         assert_eq!(plan_for(3, 1, 8, 4096).workers, 3);
         // Degenerate inputs stay well-defined: chunk_len >= 1.
@@ -795,14 +698,6 @@ mod tests {
         assert_eq!(plan_for(0, 8, 2, 4096).workers, 1);
         // One core, nothing forced: always inline.
         assert_eq!(plan_for(1_000_000, 1, 0, 0).workers, 1);
-
-        // chunk_of maps indices onto the contiguous partition.
-        let p = plan_for(10, 8, 4, 4096);
-        assert_eq!((p.workers, p.chunk_len, p.chunks()), (4, 3, 4));
-        assert_eq!(p.chunk_of(0), 0);
-        assert_eq!(p.chunk_of(2), 0);
-        assert_eq!(p.chunk_of(3), 1);
-        assert_eq!(p.chunk_of(9), 3);
     }
 
     #[test]
@@ -818,8 +713,7 @@ mod tests {
         // 1-core machine; with_min_len(8) must still produce correct,
         // order-preserving results on a slice far below MIN_PAR_LEN.
         crate::force_workers_for_tests(3);
-        let plan = crate::chunk_plan_with_min_len(10, 8);
-        assert_eq!((plan.workers, plan.chunk_len), (3, 4));
+        assert_eq!(crate::plan_for(10, 1, 3, 8), crate::Plan { workers: 3, chunk_len: 4 });
         let mut v = vec![0usize; 10];
         v.par_iter_mut().with_min_len(8).enumerate().for_each(|(i, x)| *x = i + 1);
         assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
@@ -840,76 +734,6 @@ mod tests {
         // len < MIN_PAR_LEN (cores may exceed 1 on the host, so only
         // check the planner's inline decision directly).
         assert_eq!(crate::plan_for(10, 8, 0, crate::MIN_PAR_LEN).workers, 1);
-    }
-
-    #[test]
-    fn with_chunk_plan_pins_partition_across_forced_worker_changes() {
-        // A pinned plan is a pure function of its fields: the executing
-        // partition must match it exactly no matter what the global
-        // forced-worker state says at call time. This is the contract
-        // the round engine's per-run capture (and the SoA arena's
-        // chunk-shared scratch) relies on.
-        let plan = crate::ChunkPlan { len: 12, workers: 4, chunk_len: 3 };
-        // No forcing in effect (and len far below MIN_PAR_LEN, which
-        // would normally run inline): the pinned plan must still split
-        // into its own chunks. Record each element's observed chunk
-        // base and check it against the plan's chunk_of mapping.
-        let mut v = vec![usize::MAX; 12];
-        v.par_iter_mut()
-            .with_chunk_plan(plan)
-            .enumerate()
-            .fold(Vec::new, |mut acc, (i, x)| {
-                // Chunk-local fold: every element folded together came
-                // from one contiguous chunk of the pinned plan.
-                *x = i;
-                acc.push(i);
-                acc
-            })
-            .reduce(Vec::new, |mut a, mut b| {
-                // Each incoming fold part must sit entirely inside one
-                // pinned chunk (the accumulator `a` spans the chunks
-                // already combined, so only `b` is checked).
-                if let Some(&first) = b.first() {
-                    assert!(
-                        b.iter().all(|&i| plan.chunk_of(i) == plan.chunk_of(first)),
-                        "fold part crossed a pinned chunk boundary: {b:?}"
-                    );
-                }
-                a.append(&mut b);
-                a
-            });
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i));
-
-        // Mutating the forced state between capture and call must not
-        // change the partition: pin 2 chunks, then force 5 workers —
-        // the call still splits into exactly the pinned 2 chunks.
-        struct Reset;
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                crate::force_workers_for_tests(0);
-            }
-        }
-        let _reset = Reset;
-        let pinned = crate::ChunkPlan { len: 10, workers: 2, chunk_len: 5 };
-        crate::force_workers_for_tests(5);
-        let bases: Vec<usize> = {
-            let mut v = vec![0u8; 10];
-            let parts =
-                crate::run_mut_chunks(&mut v, false, crate::Split::Pinned(pinned), |base, ch| {
-                    (base, ch.len())
-                });
-            parts.iter().for_each(|&(base, len)| assert!(len <= pinned.chunk_len, "{base}/{len}"));
-            parts.into_iter().map(|(base, _)| base).collect()
-        };
-        assert_eq!(bases, vec![0, 5], "pinned partition must ignore the forced-worker state");
-    }
-
-    #[test]
-    #[should_panic(expected = "different length")]
-    fn with_chunk_plan_rejects_mismatched_length() {
-        let plan = crate::ChunkPlan { len: 8, workers: 2, chunk_len: 4 };
-        let mut v = vec![0usize; 9];
-        v.par_iter_mut().with_chunk_plan(plan).for_each(|x| *x += 1);
     }
 
     #[test]

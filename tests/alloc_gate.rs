@@ -159,6 +159,25 @@ fn warm_reruns_perform_zero_heap_operations() {
         assert_eq!(d.heap_ops(), 0, "warm serve-pool job must not allocate: {d:?}");
     }
 
+    // (e) The default configuration: a plain builder session, no
+    // executor override, carries the same contract — the default
+    // in-process executor is the fused sequential path, so the warm
+    // rerun a one-line caller gets touches the heap zero times.
+    {
+        let mut tester = TesterSession::builder(5, 0.1).seed(7).repetitions(2).build().unwrap();
+        let mut run = TesterRun::default();
+        for _ in 0..2 {
+            tester.test_into(&free, &mut run).unwrap();
+        }
+        let gate = AllocGate::snapshot();
+        for _ in 0..3 {
+            tester.test_into(&free, &mut run).unwrap();
+        }
+        let d = gate.delta();
+        assert_eq!(d.heap_ops(), 0, "warm default-configured test_into must not allocate: {d:?}");
+        assert!(!run.reject);
+    }
+
     // (c) `SeqPool` take/return cycle: once the free list holds a
     // buffer of sufficient capacity, every bundle_from/put cycle is
     // served warm.

@@ -55,9 +55,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
     /// Batch output equals the sequential one-by-one loop bit for bit,
-    /// for every shard count, and equals the parallel-executor loop in
-    /// everything the determinism contract covers (the report's
-    /// executor/threads labels are metadata, not output).
+    /// for every shard count, the report's executor/threads labels
+    /// included.
     #[test]
     fn batch_is_bit_identical_to_one_by_one(
         specs in proptest::collection::vec((0u8..3, 24usize..44, 4usize..6, 0u64..5), 2..6),
@@ -86,15 +85,8 @@ proptest! {
             })
             .collect();
 
-        let mut engine = EngineConfig {
-            executor: Executor::Sequential,
-            faults: faults.clone(),
-            ..EngineConfig::default()
-        };
+        let engine = EngineConfig { faults: faults.clone(), ..EngineConfig::default() };
         let seq_loop: Vec<TesterRun> =
-            jobs.iter().map(|j| run_once(j.graph, &j.cfg, &engine).unwrap()).collect();
-        engine.executor = Executor::Parallel;
-        let par_loop: Vec<TesterRun> =
             jobs.iter().map(|j| run_once(j.graph, &j.cfg, &engine).unwrap()).collect();
 
         let session = TesterSession::builder(5, 0.1)
@@ -109,9 +101,6 @@ proptest! {
                 prop_assert_eq!(digest(one), digest(b), "job {} shards {}", i, shards);
                 prop_assert_eq!(one.outcome.report.executor, b.outcome.report.executor);
                 prop_assert_eq!(one.outcome.report.threads, b.outcome.report.threads);
-                // Parallel one-by-one: identical by the determinism
-                // contract (executor labels aside).
-                prop_assert_eq!(digest(&par_loop[i]), digest(b), "job {} vs parallel", i);
             }
         }
     }
@@ -173,7 +162,7 @@ fn sharded_batch_with_real_threads_is_bit_identical() {
 /// PR-5 slot-storage reclaim: a session driving a family of graphs
 /// performs exactly one slot-array allocation — every later job of the
 /// same program type starts warm (the `Slot` program array moved into
-/// `EngineWorkspace`), on both executors.
+/// `EngineWorkspace`).
 #[test]
 fn session_batch_never_reallocates_slot_storage() {
     // Largest job first so capacity growth cannot masquerade as reuse.
@@ -183,17 +172,11 @@ fn session_batch_never_reallocates_slot_storage() {
         cycle(5),
         eps_far_instance(36, 5, 0.1, 2).graph,
     ];
-    for executor in [Executor::Sequential, Executor::Parallel] {
-        let mut session =
-            TesterSession::builder(5, 0.1).repetitions(2).executor(executor).build().unwrap();
-        for g in &graphs {
-            session.test(g).unwrap();
-        }
-        let stats = session.slot_stats();
-        assert_eq!(stats.takes, graphs.len() as u64, "{executor:?}");
-        assert_eq!(
-            stats.misses, 1,
-            "{executor:?}: only the cold first job may allocate the slot array"
-        );
+    let mut session = TesterSession::builder(5, 0.1).repetitions(2).build().unwrap();
+    for g in &graphs {
+        session.test(g).unwrap();
     }
+    let stats = session.slot_stats();
+    assert_eq!(stats.takes, graphs.len() as u64);
+    assert_eq!(stats.misses, 1, "only the cold first job may allocate the slot array");
 }

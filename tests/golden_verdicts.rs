@@ -1,18 +1,18 @@
 //! Golden verdicts: the full tester's observable output, pinned to a
 //! committed fixture instead of to another run of the same code.
 //!
-//! The parity suites (`soa_parity`, seq ≡ par, `session_parity`) compare
-//! the current code with itself, so a change that shifts every layout
-//! and executor the same way slips past all of them. This suite digests
+//! The parity suites (`soa_parity`, `session_parity`, sequential ≡
+//! distributed) compare the current code with itself, so a change that
+//! shifts every layout and executor the same way slips past all of them. This suite digests
 //! each run into one FNV-1a hash over explicit fields — per node the
 //! reject bit, the first rejection's repetition, tag and witness ids,
 //! `max_sent_seqs` and `pool_outstanding`; per round the wire counters —
 //! and compares it with `tests/fixtures/golden_verdicts.txt`.
 //!
 //! The cases cover k = 3..=9 on certified ε-far and `G(n, p)` inputs
-//! plus `Ck`-free controls, each under both executors, both node
-//! layouts, early abort, random loss, and frame corruption with witness
-//! verification. The multi-repetition schedules make nodes reject in an
+//! plus `Ck`-free controls, each under both node layouts, early abort,
+//! random loss, and frame corruption with witness verification, on the
+//! default (sequential) executor. The multi-repetition schedules make nodes reject in an
 //! early repetition and keep running, which is the decision round's
 //! already-rejected path.
 //!
@@ -20,7 +20,7 @@
 //! prints the regenerated fixture; replace the file with it and say why
 //! in the commit.
 
-use ck_congest::engine::{EngineConfig, Executor};
+use ck_congest::engine::EngineConfig;
 use ck_congest::fault::FaultPlan;
 use ck_congest::graph::Graph;
 use ck_core::session::TesterSession;
@@ -113,9 +113,9 @@ impl Mode {
         }
     }
 
-    fn configs(self, k: usize, seed: u64, executor: Executor) -> (TesterConfig, EngineConfig) {
+    fn configs(self, k: usize, seed: u64) -> (TesterConfig, EngineConfig) {
         let base = TesterConfig { repetitions: Some(REPS), ..TesterConfig::new(k, 0.05, seed) };
-        let engine = EngineConfig { executor, ..EngineConfig::default() };
+        let engine = EngineConfig::default();
         match self {
             Mode::Plain => (base, engine),
             Mode::EarlyAbort => (TesterConfig { early_abort: true, ..base }, engine),
@@ -156,14 +156,12 @@ fn run_cases() -> Vec<(String, u64, TesterRun)> {
     let mut out = Vec::new();
     for (gname, k, g, seed) in graphs() {
         for mode in Mode::ALL {
-            for executor in [Executor::Sequential, Executor::Parallel] {
-                for layout in [NodeLayout::Boxed, NodeLayout::Soa] {
-                    let (cfg, engine) = mode.configs(k, seed, executor);
-                    let cfg = TesterConfig { layout, ..cfg };
-                    let run = TesterSession::from_config(cfg, engine).unwrap().test(&g).unwrap();
-                    let name = format!("k{k}/{gname}/{}/{executor:?}/{layout:?}", mode.name());
-                    out.push((name, digest(&run), run));
-                }
+            for layout in [NodeLayout::Boxed, NodeLayout::Soa] {
+                let (cfg, engine) = mode.configs(k, seed);
+                let cfg = TesterConfig { layout, ..cfg };
+                let name = format!("k{k}/{gname}/{}/{:?}/{layout:?}", mode.name(), engine.executor);
+                let run = TesterSession::from_config(cfg, engine).unwrap().test(&g).unwrap();
+                out.push((name, digest(&run), run));
             }
         }
     }

@@ -98,22 +98,26 @@ proptest! {
         prop_assert!((run.max_sent_seqs() as u128) <= bound);
     }
 
-    /// Determinism: sequential and parallel executors agree bit-for-bit.
+    /// Determinism: the sequential and distributed executors (two
+    /// worker threads over loopback) agree bit-for-bit.
     #[test]
     fn executors_agree(g in arb_graph(), k in 3usize..7, seed in any::<u64>()) {
         let cfg = TesterConfig { repetitions: Some(1), ..TesterConfig::new(k, 0.2, seed) };
         let mut e = EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() };
         let a = run_once(&g, &cfg, &e).unwrap();
-        e.executor = Executor::Parallel;
+        e.executor = Executor::Distributed { workers: 2 };
         let b = run_once(&g, &cfg, &e).unwrap();
+        prop_assert!(b.outcome.report.net.as_ref().is_some_and(|n| n.completed_distributed()));
         prop_assert_eq!(a.reject, b.reject);
+        prop_assert_eq!(&a.outcome.verdicts, &b.outcome.verdicts);
         prop_assert_eq!(a.outcome.report.per_round, b.outcome.report.per_round);
     }
 
     /// Determinism under every fault-model v2 kind: the full tester's
     /// verdicts, witnesses, wire statistics, and fault reports agree
-    /// bit-for-bit across executors with crash-stop nodes, cut links,
-    /// burst loss, and frame corruption reshaping `CkMsg` traffic.
+    /// bit-for-bit between the sequential and distributed executors
+    /// with crash-stop nodes, cut links, burst loss, and frame
+    /// corruption reshaping `CkMsg` traffic.
     #[test]
     fn executors_agree_under_fault_v2(g in arb_graph(), k in 3usize..6, seed in any::<u64>()) {
         use ck_congest::fault::FaultPlan;
@@ -140,8 +144,9 @@ proptest! {
                 ..EngineConfig::default()
             };
             let a = run_once(&g, &cfg, &e).unwrap();
-            e.executor = Executor::Parallel;
+            e.executor = Executor::Distributed { workers: 2 };
             let b = run_once(&g, &cfg, &e).unwrap();
+            prop_assert!(b.outcome.report.net.as_ref().is_some_and(|n| n.completed_distributed()));
             prop_assert_eq!(a.reject, b.reject, "{:?}", faults);
             prop_assert_eq!(&a.outcome.verdicts, &b.outcome.verdicts, "{:?}", faults);
             prop_assert_eq!(&a.outcome.report.per_round, &b.outcome.report.per_round, "{:?}", faults);

@@ -1,12 +1,11 @@
 //! Warm/fresh parity: one `Session` / `TesterSession` reused over a
 //! whole sequence of runs must be **bit-identical** to a fresh session
 //! per run — reports (rounds, executor, per-round wire counters),
-//! verdicts, and `pool_outstanding` — across both executors, fault
-//! plans, and pinned wire parameters (a recycled workspace is
-//! observationally a fresh one). `test_batch` must equal one-by-one
-//! `test` calls.
+//! verdicts, and `pool_outstanding` — across fault plans and pinned
+//! wire parameters (a recycled workspace is observationally a fresh
+//! one). `test_batch` must equal one-by-one `test` calls.
 
-use ck_congest::engine::{EngineConfig, Executor, RunOutcome};
+use ck_congest::engine::{EngineConfig, RunOutcome};
 use ck_congest::fault::FaultPlan;
 use ck_congest::graph::{Graph, GraphBuilder};
 use ck_congest::message::WireParams;
@@ -103,8 +102,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
     /// Engine level: one reused `Session` equals a fresh `Session` per
-    /// run bit for bit, on both executors, with and without faults,
-    /// with derived and with pinned wire parameters, run after run.
+    /// run bit for bit, with and without faults, with derived and with
+    /// pinned wire parameters, run after run.
     #[test]
     fn warm_session_equals_fresh_sessions(
         g in arb_graph(),
@@ -127,43 +126,35 @@ proptest! {
             id_bits: WireParams::for_graph(&g).id_bits + 5,
             ..WireParams::for_graph(&g)
         };
-        for executor in [Executor::Sequential, Executor::Parallel] {
-            let cfg = EngineConfig {
-                executor,
-                record_rounds,
-                faults: faults.clone(),
-                ..EngineConfig::default()
-            };
-            for params in [None, Some(fat)] {
-                let build = || {
-                    let b = Session::builder(&g).config(cfg.clone());
-                    match params {
-                        Some(p) => b.wire_params(p).build(),
-                        None => b.build(),
-                    }
-                };
-                let mut warm = build();
-                for rep in 0..3 {
-                    let fresh = build().run(mk).unwrap();
-                    let reused = warm.run(mk).unwrap();
-                    prop_assert_eq!(
-                        engine_digest(&fresh),
-                        engine_digest(&reused),
-                        "rep {} {:?} pinned={}",
-                        rep,
-                        executor,
-                        params.is_some()
-                    );
+        let cfg = EngineConfig { record_rounds, faults: faults.clone(), ..EngineConfig::default() };
+        for params in [None, Some(fat)] {
+            let build = || {
+                let b = Session::builder(&g).config(cfg.clone());
+                match params {
+                    Some(p) => b.wire_params(p).build(),
+                    None => b.build(),
                 }
+            };
+            let mut warm = build();
+            for rep in 0..3 {
+                let fresh = build().run(mk).unwrap();
+                let reused = warm.run(mk).unwrap();
+                prop_assert_eq!(
+                    engine_digest(&fresh),
+                    engine_digest(&reused),
+                    "rep {} pinned={}",
+                    rep,
+                    params.is_some()
+                );
             }
         }
     }
 
     /// Tester level: one reused `TesterSession` equals a fresh
     /// `TesterSession` per run bit for bit — verdicts (including
-    /// `pool_outstanding` and witnesses), reports, wire counters — on
-    /// both executors and under faults; and `test_batch` equals
-    /// one-by-one `test` calls.
+    /// `pool_outstanding` and witnesses), reports, wire counters — with
+    /// and without faults; and `test_batch` equals one-by-one `test`
+    /// calls.
     #[test]
     fn warm_tester_session_equals_fresh_sessions(
         k in 4usize..6,
@@ -180,29 +171,22 @@ proptest! {
         let free = matched_free_instance(30, k);
         let ck = cycle(k);
         let cfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(k, 0.1, seed) };
-        for executor in [Executor::Sequential, Executor::Parallel] {
-            let engine = EngineConfig {
-                executor,
-                faults: faults.clone(),
-                ..EngineConfig::default()
-            };
-            let mut warm = TesterSession::from_config(cfg, engine.clone()).unwrap();
-            // One session across three different graphs, twice over:
-            // cross-graph workspace/scratch reuse must stay invisible.
-            for pass in 0..2 {
-                for g in [&far.graph, &free, &ck] {
-                    let fresh =
-                        TesterSession::from_config(cfg, engine.clone()).unwrap().test(g).unwrap();
-                    let reused = warm.test(g).unwrap();
-                    prop_assert_eq!(
-                        tester_digest(&fresh),
-                        tester_digest(&reused),
-                        "pass {} n={} {:?}",
-                        pass,
-                        g.n(),
-                        executor
-                    );
-                }
+        let engine = EngineConfig { faults: faults.clone(), ..EngineConfig::default() };
+        let mut warm = TesterSession::from_config(cfg, engine.clone()).unwrap();
+        // One session across three different graphs, twice over:
+        // cross-graph workspace/scratch reuse must stay invisible.
+        for pass in 0..2 {
+            for g in [&far.graph, &free, &ck] {
+                let fresh =
+                    TesterSession::from_config(cfg, engine.clone()).unwrap().test(g).unwrap();
+                let reused = warm.test(g).unwrap();
+                prop_assert_eq!(
+                    tester_digest(&fresh),
+                    tester_digest(&reused),
+                    "pass {} n={}",
+                    pass,
+                    g.n()
+                );
             }
         }
         // Batch: the sharded runner vs one fresh session per job.

@@ -2,15 +2,16 @@
 //! ([`ck_core::tester::NodeLayout::Soa`]) must be **bit-identical** to
 //! the boxed reference layout — verdicts (including witnesses and
 //! `pool_outstanding`), reject bits, reports, per-round wire counters —
-//! across executors, fault plans, scan backends, early abort, and
-//! repeated warm-session reuse. The two layouts share one `Program`
+//! across fault plans, scan backends, early abort, repeated
+//! warm-session reuse, and batch shards on real threads. The two layouts share one `Program`
 //! implementation by construction (`CkTesterCore` is generic over the
 //! buffer seam); these tests pin the construction down end to end,
-//! where the arena's CSR offsets, chunk-shared scratch, and raw-pointer
-//! views could otherwise diverge silently.
+//! where the arena's CSR offsets, shared scratch, and raw-pointer views
+//! could otherwise diverge silently.
 
-use ck_congest::engine::{EngineConfig, Executor};
+use ck_congest::engine::EngineConfig;
 use ck_congest::fault::FaultPlan;
+use ck_core::batch::BatchJob;
 use ck_core::scan::ScanBackend;
 use ck_core::session::TesterSession;
 use ck_core::tester::{NodeLayout, NodeVerdict, TesterConfig, TesterRun};
@@ -42,9 +43,9 @@ fn session(cfg: TesterConfig, engine: &EngineConfig, layout: NodeLayout) -> Test
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
-    /// A warm SoA session equals a warm boxed session bit for bit, on
-    /// both executors, with and without faults, run after run and
-    /// across graphs of different shapes (arena reprepared per run).
+    /// A warm SoA session equals a warm boxed session bit for bit, with
+    /// and without faults, run after run and across graphs of
+    /// different shapes (arena reprepared per run).
     #[test]
     fn soa_equals_boxed_across_executors_and_faults(
         k in 4usize..6,
@@ -66,36 +67,23 @@ proptest! {
             early_abort,
             ..TesterConfig::new(k, 0.1, seed)
         };
-        for executor in [Executor::Sequential, Executor::Parallel] {
-            let engine = EngineConfig {
-                executor,
-                faults: faults.clone(),
-                ..EngineConfig::default()
-            };
-            let mut boxed = session(cfg, &engine, NodeLayout::Boxed);
-            let mut soa = session(cfg, &engine, NodeLayout::Soa);
-            // One session pair across three graphs, twice over: the
-            // arena re-`prepare` between different shapes and the warm
-            // same-shape rerun must both stay invisible.
-            for pass in 0..2 {
-                for g in [&far.graph, &free, &ck] {
-                    let a = boxed.test(g).unwrap();
-                    let b = soa.test(g).unwrap();
-                    prop_assert_eq!(
-                        digest(&a),
-                        digest(&b),
-                        "pass {} n={} {:?}",
-                        pass,
-                        g.n(),
-                        executor
-                    );
-                }
+        let engine = EngineConfig { faults, ..EngineConfig::default() };
+        let mut boxed = session(cfg, &engine, NodeLayout::Boxed);
+        let mut soa = session(cfg, &engine, NodeLayout::Soa);
+        // One session pair across three graphs, twice over: the arena
+        // re-`prepare` between different shapes and the warm same-shape
+        // rerun must both stay invisible.
+        for pass in 0..2 {
+            for g in [&far.graph, &free, &ck] {
+                let a = boxed.test(g).unwrap();
+                let b = soa.test(g).unwrap();
+                prop_assert_eq!(digest(&a), digest(&b), "pass {} n={}", pass, g.n());
             }
         }
     }
 
-    /// Scan-backend × layout grid: the chunk-shared scan scratch under
-    /// SoA must not perturb any backend's output.
+    /// Scan-backend × layout grid: the shared scan scratch under SoA
+    /// must not perturb any backend's output.
     #[test]
     fn soa_equals_boxed_across_scan_backends(
         k in 4usize..6,
@@ -103,35 +91,44 @@ proptest! {
     ) {
         let far = eps_far_instance(36, k, 0.1, seed % 3);
         let cfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(k, 0.1, seed) };
+        let engine = EngineConfig::default();
         for scan in [ScanBackend::Scalar, ScanBackend::Lanes] {
             let cfg = TesterConfig { scan, ..cfg };
-            for executor in [Executor::Sequential, Executor::Parallel] {
-                let engine = EngineConfig { executor, ..EngineConfig::default() };
-                let a = session(cfg, &engine, NodeLayout::Boxed).test(&far.graph).unwrap();
-                let b = session(cfg, &engine, NodeLayout::Soa).test(&far.graph).unwrap();
-                prop_assert_eq!(digest(&a), digest(&b), "{:?} {:?}", scan, executor);
-            }
+            let a = session(cfg, &engine, NodeLayout::Boxed).test(&far.graph).unwrap();
+            let b = session(cfg, &engine, NodeLayout::Soa).test(&far.graph).unwrap();
+            prop_assert_eq!(digest(&a), digest(&b), "{:?}", scan);
         }
     }
 }
 
 /// Forced worker counts (the CI thread-matrix leg drives this binary
-/// with `CK_FORCED_WORKERS` set): the SoA arena's chunk-shared scratch
-/// is keyed off the engine's actual partition, so parity must hold at
-/// every worker count, not just the machine's.
+/// with `CK_FORCED_WORKERS` set): the sharded batch runner moves each
+/// shard's session — SoA arena or boxed scratch pool — onto its own
+/// thread, and parity with one-by-one boxed runs must hold at every
+/// worker count.
 #[test]
 fn soa_equals_boxed_under_forced_workers() {
     let k = 5;
     let far = eps_far_instance(48, k, 0.1, 3);
+    let free = matched_free_instance(30, k);
     let cfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(k, 0.1, 11) };
-    let engine = EngineConfig { executor: Executor::Parallel, ..EngineConfig::default() };
-    let baseline = session(cfg, &engine, NodeLayout::Boxed).test(&far.graph).unwrap();
+    let engine = EngineConfig::default();
+    let graphs = [&far.graph, &free, &far.graph, &free, &far.graph];
+    let baseline: Vec<_> = graphs
+        .iter()
+        .map(|g| digest(&session(cfg, &engine, NodeLayout::Boxed).test(g).unwrap()))
+        .collect();
     for workers in [1, 2, 3, 8] {
         rayon::force_workers_for_tests(workers);
-        let a = session(cfg, &engine, NodeLayout::Boxed).test(&far.graph).unwrap();
-        let b = session(cfg, &engine, NodeLayout::Soa).test(&far.graph).unwrap();
+        let batches = [NodeLayout::Boxed, NodeLayout::Soa].map(|layout| {
+            let cfg = TesterConfig { layout, ..cfg };
+            let jobs: Vec<BatchJob> = graphs.iter().map(|g| BatchJob::new(g, cfg)).collect();
+            session(cfg, &engine, layout).test_batch(&jobs, None).unwrap()
+        });
         rayon::force_workers_for_tests(0);
-        assert_eq!(digest(&a), digest(&baseline), "workers={workers} boxed drifted");
-        assert_eq!(digest(&b), digest(&baseline), "workers={workers} soa drifted");
+        for (layout, runs) in [NodeLayout::Boxed, NodeLayout::Soa].iter().zip(&batches) {
+            let got: Vec<_> = runs.iter().map(digest).collect();
+            assert_eq!(got, baseline, "workers={workers} {layout:?} drifted");
+        }
     }
 }
